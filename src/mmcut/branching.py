@@ -615,6 +615,21 @@ def _completion(state: PartialState) -> PartialState | None:
     return out
 
 
+def first_configuration(state: PartialState) -> tuple[str, list] | None:
+    """The first applicable B-configuration, trying rules in order and
+    candidate vertices in ascending id: its name and its branches."""
+    for rule, detector in _DETECTORS:
+        for v1 in range(state.graph.n):
+            if state.assign[v1] != FREE:
+                continue
+            branches = detector(
+                state, v1, state.part_contacts(v1), state.free_neighbors(v1)
+            )
+            if branches is not None:
+                return rule, branches
+    return None
+
+
 def select_branch(state: PartialState) -> list[PartialState]:
     """Children of a reduced, alive, not-fully-assigned state.
 
@@ -637,15 +652,10 @@ def _select_branch_named(state: PartialState) -> tuple[str, list[PartialState]]:
                     moves.append(((u, state.used),))
                 moves.append(((u, state.assign[w]),))
                 return "pendant", _children(state, moves)
-    for _rule, detector in _DETECTORS:
-        for v1 in range(graph.n):
-            if state.assign[v1] != FREE:
-                continue
-            cont = state.part_contacts(v1)
-            fnb = state.free_neighbors(v1)
-            branches = detector(state, v1, cont, fnb)
-            if branches is not None:
-                return _rule, _children(state, branches)
+    found = first_configuration(state)
+    if found is not None:
+        rule, branches = found
+        return rule, _children(state, branches)
     completed = _completion(state)
     if completed is not None:
         return "completion", [completed]
@@ -658,20 +668,6 @@ def _select_branch_named(state: PartialState) -> tuple[str, list[PartialState]]:
     else:
         candidates = state.open_parts()
     return "fallback", _children(state, [((v1, p),) for p in candidates])
-
-
-def branch_rule_of(state: PartialState) -> str | None:
-    """Name of the first applicable B-configuration, for tests and traces."""
-    for rule, detector in _DETECTORS:
-        for v1 in range(state.graph.n):
-            if state.assign[v1] != FREE:
-                continue
-            branches = detector(
-                state, v1, state.part_contacts(v1), state.free_neighbors(v1)
-            )
-            if branches is not None:
-                return rule
-    return None
 
 
 class _SearchStats:

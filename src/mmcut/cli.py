@@ -27,9 +27,6 @@ from .modulators import (
 )
 from .treewidth import heuristic_decomposition, max_parts_tw, nicify, parse_td
 
-DEFAULT_SEED = 20240 + 1
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -41,7 +38,6 @@ class RunConfig:
     td_path: str | None = None
     param: str = "cluster"
     modulator: tuple[int, ...] | None = None
-    seed: int = DEFAULT_SEED
     stats: bool = False
     extra: dict = field(default_factory=dict)
 
@@ -49,6 +45,16 @@ class RunConfig:
 def _read_graph(config: RunConfig) -> Graph:
     text = Path(config.input_path).read_text()
     return parse_graph(text, config.fmt)
+
+
+def _treewidth_max_parts(graph: Graph, config: RunConfig) -> int:
+    """The DP's value on the ``--td`` decomposition, or on min-fill's."""
+    if config.td_path:
+        td = parse_td(Path(config.td_path).read_text())
+        td.validate(graph)
+    else:
+        td = heuristic_decomposition(graph)
+    return max_parts_tw(graph, nicify(td))
 
 
 def _decide(graph: Graph, config: RunConfig) -> Multicut | None:
@@ -69,13 +75,7 @@ def _decide(graph: Graph, config: RunConfig) -> Multicut | None:
             )
         return cut
     if config.engine == "treewidth":
-        if config.td_path:
-            td = parse_td(Path(config.td_path).read_text())
-            td.validate(graph)
-        else:
-            td = heuristic_decomposition(graph)
-        best = max_parts_tw(graph, nicify(td))
-        if best < config.ell:
+        if _treewidth_max_parts(graph, config) < config.ell:
             return None
         # The table stores only counts; recover a witness with the search
         # engine, which is exact as well.
@@ -91,12 +91,7 @@ def _maxparts(graph: Graph, config: RunConfig) -> tuple[int, Multicut | None]:
     if config.engine == "branching":
         return solve_max(graph)
     if config.engine == "treewidth":
-        if config.td_path:
-            td = parse_td(Path(config.td_path).read_text())
-            td.validate(graph)
-        else:
-            td = heuristic_decomposition(graph)
-        best = max_parts_tw(graph, nicify(td))
+        best = _treewidth_max_parts(graph, config)
         witness = solve_decision(graph, best) if best else None
         return best, witness
     if config.engine == "oracle":
@@ -187,58 +182,47 @@ def cmd_kernelize(config: RunConfig, out) -> int:
 
 def cmd_generate(config: RunConfig, out) -> int:
     kind = config.extra["kind"]
-    if kind == "is2mmc":
-        graph = _read_graph(config)
-        target, ell, cert = generators.reduce_is_to_mmc(
-            graph, config.extra["k"], config.extra["variant"]
-        )
-        payload = write_graph(target)
-        header = f"# matching multicut target, ell={ell}\n"
-        if config.output_path:
-            Path(config.output_path).write_text(header + payload)
-            out.write(f"ell {ell}\n")
-        else:
-            out.write(header + payload)
-        if config.extra.get("cert_path"):
-            Path(config.extra["cert_path"]).write_text(
-                json.dumps(_cert_json(cert), indent=2, sort_keys=True) + "\n"
-            )
-        return 0
-    if kind == "sp2mmc":
-        inst = oracle.parse_set_packing(Path(config.input_path).read_text())
-        target, ell, cert = generators.reduce_set_packing_to_mmc(inst)
-        payload = f"# matching multicut target, ell={ell}\n" + write_graph(target)
-        if config.output_path:
-            Path(config.output_path).write_text(payload)
-            out.write(f"ell {ell}\n")
-        else:
-            out.write(payload)
-        if config.extra.get("cert_path"):
-            Path(config.extra["cert_path"]).write_text(
-                json.dumps(_cert_json(cert), indent=2, sort_keys=True) + "\n"
-            )
-        return 0
     if kind == "xcompose":
         instances = [
             oracle.parse_set_packing(Path(path).read_text())
             for path in config.extra["inputs"]
         ]
         composed, cert = generators.cross_compose_set_packing(instances)
-        payload = oracle.write_set_packing(composed)
-        if config.output_path:
-            Path(config.output_path).write_text(payload)
-            out.write(
-                f"composed {len(instances)} instances: |X|={composed.ground_size} "
-                f"|F|={len(composed.family)} k={composed.k}\n"
-            )
-        else:
-            out.write(payload)
-        if config.extra.get("cert_path"):
-            Path(config.extra["cert_path"]).write_text(
-                json.dumps(_cert_json(cert), indent=2, sort_keys=True) + "\n"
-            )
-        return 0
-    raise ValueError(f"unknown generator {kind!r}")
+        return _write_generated(
+            config, out, oracle.write_set_packing(composed),
+            f"composed {len(instances)} instances: |X|={composed.ground_size} "
+            f"|F|={len(composed.family)} k={composed.k}\n",
+            cert,
+        )
+    if kind == "is2mmc":
+        target, ell, cert = generators.reduce_is_to_mmc(
+            _read_graph(config), config.extra["k"], config.extra["variant"]
+        )
+    elif kind == "sp2mmc":
+        inst = oracle.parse_set_packing(Path(config.input_path).read_text())
+        target, ell, cert = generators.reduce_set_packing_to_mmc(inst)
+    else:
+        raise ValueError(f"unknown generator {kind!r}")
+    payload = f"# matching multicut target, ell={ell}\n" + write_graph(target)
+    return _write_generated(config, out, payload, f"ell {ell}\n", cert)
+
+
+def _write_generated(
+    config: RunConfig, out, payload: str, summary: str,
+    cert: generators.ReductionCertificate,
+) -> int:
+    """Payload to ``--output`` (printing the summary) or to stdout, and the
+    certificate to ``--cert`` when given."""
+    if config.output_path:
+        Path(config.output_path).write_text(payload)
+        out.write(summary)
+    else:
+        out.write(payload)
+    if config.extra.get("cert_path"):
+        Path(config.extra["cert_path"]).write_text(
+            json.dumps(_cert_json(cert), indent=2, sort_keys=True) + "\n"
+        )
+    return 0
 
 
 def _cert_json(cert: generators.ReductionCertificate) -> dict:
@@ -390,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     config = RunConfig(command=args.command)
-    for name in ("engine", "ell", "param", "stats", "seed"):
+    for name in ("engine", "ell", "param", "stats"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(config, name, getattr(args, name))
     if hasattr(args, "input"):

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, component_labels
 
 Edge = tuple[int, int]
 
@@ -72,9 +72,10 @@ class Multicut:
         if expected != self.cut_edges:
             bad = tuple(sorted(expected.symmetric_difference(self.cut_edges)))[0]
             return ViolationReport("vertex-two-crossing", bad)
-        for part in self.parts:
-            if not _is_connected_subset(graph, part):
-                return ViolationReport("disconnected-part", tuple(part))
+        # The parts are connected exactly when G - cut_edges has p components.
+        count, _ = component_labels(graph.adj, self.cut_edges)
+        if count != self.p or count != len(set(self.part_of)):
+            return ViolationReport("disconnected-part", (count, self.p))
         return None
 
 
@@ -86,21 +87,6 @@ def crossing_edges(graph: Graph, part_of: Sequence[int]) -> frozenset[Edge]:
             if u < v and part_of[v] != pu:
                 out.add((u, v))
     return frozenset(out)
-
-
-def _is_connected_subset(graph: Graph, vertices: Sequence[int]) -> bool:
-    if not vertices:
-        return False
-    inside = set(vertices)
-    stack = [vertices[0]]
-    seen = {vertices[0]}
-    while stack:
-        v = stack.pop()
-        for u in graph.adj[v]:
-            if u in inside and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(inside)
 
 
 def _as_part_list(graph: Graph, part_of) -> list[int]:
@@ -157,24 +143,9 @@ def canonicalize(graph: Graph, part_of) -> Multicut:
     report = _crossing_violation(graph, labels)
     if report is not None:
         raise ValueError(f"not a matching multicut: {report}")
-    # Connected components within each part, discovered in vertex order, are
-    # automatically numbered by their smallest member.
-    part_index = [-1] * graph.n
-    p = 0
-    for s in range(graph.n):
-        if part_index[s] != -1:
-            continue
-        part_index[s] = p
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in graph.adj[v]:
-                if part_index[u] == -1 and labels[u] == labels[v]:
-                    part_index[u] = p
-                    stack.append(u)
-        p += 1
-    cuts = crossing_edges(graph, part_index)
-    return Multicut(tuple(part_index), p, cuts)
+    cut = crossing_edges(graph, labels)
+    p, part_index = component_labels(graph.adj, cut)
+    return Multicut(tuple(part_index), p, cut)
 
 
 def max_parts_of_cut(graph: Graph, matching: Iterable[Edge]) -> Multicut:
@@ -192,22 +163,11 @@ def max_parts_of_cut(graph: Graph, matching: Iterable[Edge]) -> Multicut:
             raise ValueError(f"({u}, {v}) shares an endpoint: not a matching")
         saturated.update((u, v))
         cut.add((u, v) if u < v else (v, u))
-    part_index = [-1] * graph.n
-    p = 0
-    for s in range(graph.n):
-        if part_index[s] != -1:
-            continue
-        part_index[s] = p
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in graph.adj[v]:
-                edge = (v, u) if v < u else (u, v)
-                if part_index[u] == -1 and edge not in cut:
-                    part_index[u] = p
-                    stack.append(u)
-        p += 1
-    return Multicut(tuple(part_index), p, crossing_edges(graph, part_index))
+    p, part_index = component_labels(graph.adj, cut)
+    # Edges outside M never separate their endpoints.  Copying a set sizes
+    # the frozenset's table once; a generator can leave it twice as large.
+    crossing = frozenset({e for e in cut if part_index[e[0]] != part_index[e[1]]})
+    return Multicut(tuple(part_index), p, crossing)
 
 
 def cut_is_multicut(graph: Graph, matching: Iterable[Edge]) -> bool:

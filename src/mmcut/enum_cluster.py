@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .cuts import Edge, Multicut, max_parts_of_cut
-from .graphs import Graph
+from .graphs import Graph, component_labels
 from .modulators import Modulator, is_cluster_graph
 from .oracle import SetPackingInstance, enumerate_all_multicuts, enumerate_set_packings
 
@@ -526,6 +526,9 @@ def _saturated(cut_edges) -> set[int]:
 
 
 def _lift_vertices(inst: ClusterInstance) -> set[int]:
+    """Vertices of the erased structures.  Stages 4 and 5 evaluate their
+    conditions on the components of (G - these) - cut: erased structures
+    would otherwise bridge parts they are not yet committed to."""
     out: set[int] = set()
     for entry in inst.lift_entries:
         if isinstance(entry, SimpleEdgeEntry):
@@ -533,31 +536,6 @@ def _lift_vertices(inst: ClusterInstance) -> set[int]:
         else:
             out.update(entry.vertices)
     return out
-
-
-def _parts_excluding(
-    graph: Graph, cut: frozenset[Edge], excluded: set[int]
-) -> tuple[int, list[int]]:
-    """Components of (G - excluded) - cut: the partition against which the
-    lifting stage evaluates its mode conditions.  Erased structures would
-    otherwise bridge parts they are not yet committed to."""
-    part = [-1] * graph.n
-    p = 0
-    for s in range(graph.n):
-        if part[s] != -1 or s in excluded:
-            continue
-        part[s] = p
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in graph.adj[v]:
-                if part[u] != -1 or u in excluded:
-                    continue
-                if _edge(v, u) not in cut:
-                    part[u] = p
-                    stack.append(u)
-        p += 1
-    return p, part
 
 
 def extend_with_matching_clusters(
@@ -597,7 +575,7 @@ def extend_with_pendant_clusters(
     cut its host edge when the host is still unsaturated (the unit becomes
     its own part).  Prunes as soon as the remaining units plus the lifting
     potential cannot reach the target part count."""
-    base_p, _ = _parts_excluding(inst.graph, cut, _lift_vertices(inst))
+    base_p, _ = component_labels(inst.graph.adj, cut, _lift_vertices(inst))
     current = set(cut)
     saturated = _saturated(cut)
 
@@ -691,7 +669,7 @@ def lift_cluster(
     over each one's locally feasible cut modes, and emit the canonical
     multicuts of the original graph that reach the target part count."""
     graph = inst.graph
-    base_count, part_of = _parts_excluding(graph, cut, _lift_vertices(inst))
+    base_count, part_of = component_labels(graph.adj, cut, _lift_vertices(inst))
     uf = _LiftParts(base_count)
     for a, b in cut:
         uf.record_cut((a, b), part_of[a], part_of[b])

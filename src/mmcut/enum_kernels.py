@@ -262,13 +262,7 @@ def _reduce_many_classes(graph, s_set, classes):
                 removed.add(u)
                 changed = True
                 break
-    keep = sorted(set(range(graph.n)) - removed)
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u in keep for v in adj[u] if v in index and u < v
-    ]
-    return Graph.from_edges(len(keep), edges), tuple(keep)
+    return _rebuild(graph.n, adj, removed)
 
 
 def _reduce_two_classes(graph, s_set, classes):
@@ -314,7 +308,14 @@ def _reduce_two_classes(graph, s_set, classes):
                 removed.add(u)
                 changed = True
                 break
-    keep = sorted(set(range(graph.n)) - removed)
+    return _rebuild(graph.n, adj, removed)
+
+
+def _rebuild(
+    n: int, adj: list[set[int]], removed: set[int]
+) -> tuple[Graph, tuple[int, ...]]:
+    """The reduced graph on the surviving vertices, with its id map."""
+    keep = sorted(set(range(n)) - removed)
     index = {v: i for i, v in enumerate(keep)}
     edges = [
         (index[u], index[v])
@@ -352,10 +353,7 @@ def _compact_from_reduced(hgraph: Graph, to_g, s_set) -> tuple[Graph, tuple[int,
 
 
 def enumerate_via_kernel(
-    graph: Graph,
-    modulator: Modulator,
-    ell: int,
-    engine: str = "oracle",
+    graph: Graph, modulator: Modulator, ell: int
 ) -> Iterator[Multicut]:
     """All matching multicuts of the graph with >= ell parts, duplicate
     free, through the compressor/lifting pipeline for the given modulator
@@ -364,11 +362,6 @@ def enumerate_via_kernel(
     Kernel-side solutions are enumerated exhaustively; the kernel has O(k^2)
     vertices so this is the parameter-bounded part of the work.
     """
-    if engine != "oracle":
-        raise ValueError(
-            "kernel-side enumeration is exhaustive; only the oracle engine "
-            "is supported"
-        )
     if modulator.kind == "vertex-cover":
         yield from _enumerate_vc(graph, set(modulator.vertices), ell)
     elif modulator.kind == "co-cluster":
@@ -395,7 +388,6 @@ def enumerate_via_kernel(
 
 
 def _enumerate_vc(graph: Graph, cover: set[int], ell: int) -> Iterator[Multicut]:
-    isolated = [v for v in range(graph.n) if graph.degree(v) == 0]
     core_vertices = [v for v in range(graph.n) if graph.degree(v) > 0]
     if not core_vertices:
         cut = max_parts_of_cut(graph, [])
@@ -410,7 +402,6 @@ def _enumerate_vc(graph: Graph, cover: set[int], ell: int) -> Iterator[Multicut]
     kern = compress_vc(core, core_cover)
     # Lift in core ids, then translate to the full graph: isolated vertices
     # are singleton parts of every solution and only shift the part count.
-    del isolated
     for h_cut in _h_solution_edge_sets(kern.graph):
         first = True
         for core_cut in lift_vc(core, kern, h_cut):

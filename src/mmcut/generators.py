@@ -470,17 +470,6 @@ def verify_cross_composition(
     return report
 
 
-def verify_reduction(cert_kind: str, *args, **kwargs) -> VerificationReport:
-    """Dispatch to the matching verifier; see the per-kind functions."""
-    if cert_kind == "is-to-mmc":
-        return verify_is_reduction(*args, **kwargs)
-    if cert_kind == "sp-to-mmc":
-        return verify_sp_reduction(*args, **kwargs)
-    if cert_kind == "cross-compose":
-        return verify_cross_composition(*args, **kwargs)
-    raise ValueError(f"unknown reduction kind {cert_kind!r}")
-
-
 def cubic_test_graphs() -> dict[str, Graph]:
     """The cubic graphs with at most 9 edges, up to isomorphism: K4 plus
     the two cubic graphs on six vertices."""

@@ -7,7 +7,7 @@ ids, matching the PACE / DIMACS conventions.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -95,27 +95,14 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        comp.append(u)
-                        stack.append(u)
-            comp.sort()
-            out.append(comp)
+        count, label = component_labels(self.adj)
+        out: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(label):
+            out[c].append(v)
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or component_labels(self.adj)[0] == 1
 
     def induced(self, vertices: Sequence[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph on ``vertices``; returns (subgraph, old-id list).
@@ -135,6 +122,41 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def component_labels(
+    adj: Sequence[Sequence[int]],
+    cut: AbstractSet[tuple[int, int]] = frozenset(),
+    skip: Collection[int] = (),
+) -> tuple[int, list[int]]:
+    """Components of the graph ``adj`` minus the ``cut`` edges and the
+    ``skip`` vertices.
+
+    ``cut`` holds edges as ``(u, v)`` with ``u < v``.  Returns
+    ``(count, label)``: ``label[v]`` is the index of v's component,
+    components are numbered by their smallest vertex, and skipped vertices
+    get -1.
+    """
+    label = [-1] * len(adj)
+    for v in skip:
+        label[v] = -2
+    count = 0
+    for s in range(len(adj)):
+        if label[s] != -1:
+            continue
+        label[s] = count
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if label[u] != -1 or (cut and ((v, u) if v < u else (u, v)) in cut):
+                    continue
+                label[u] = count
+                stack.append(u)
+        count += 1
+    for v in skip:
+        label[v] = -1
+    return count, label
 
 
 def parse_graph(text: str | bytes, fmt: str = "auto") -> Graph:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph
+from .graphs import Graph, component_labels
 
 
 class TreeDecompositionError(ValueError):
@@ -38,31 +38,42 @@ class TreeDecomposition:
         return adj
 
     def validate(self, graph: Graph) -> None:
-        """Check bag coverage of edges and connectivity of vertex bag-sets."""
+        """Check that the bags form a tree, cover every edge, and that the
+        bags holding each vertex are connected."""
         if graph.n != self.n:
             raise TreeDecompositionError(
                 f"decomposition is for {self.n} vertices, graph has {graph.n}"
             )
-        adj = self.neighbors()
-        if self.bags and len(self.edges) != len(self.bags) - 1:
+        index = {t: i for i, t in enumerate(self.bags)}
+        tree: list[list[int]] = [[] for _ in index]
+        for a, b in self.edges:
+            if a not in index or b not in index:
+                raise TreeDecompositionError(
+                    f"tree edge ({a + 1}, {b + 1}) names a missing bag"
+                )
+            tree[index[a]].append(index[b])
+            tree[index[b]].append(index[a])
+        if self.bags and (
+            len(self.edges) != len(self.bags) - 1 or component_labels(tree)[0] != 1
+        ):
             raise TreeDecompositionError("decomposition tree is not a tree")
+        holding: list[set[int]] = [set() for _ in range(self.n)]
+        for t, bag in self.bags.items():
+            for v in bag:
+                holding[v].add(t)
         for u, v in graph.edges():
-            if not any(u in bag and v in bag for bag in self.bags.values()):
+            if holding[u].isdisjoint(holding[v]):
                 raise TreeDecompositionError(f"edge ({u + 1}, {v + 1}) not covered")
-        for v in range(graph.n):
-            nodes = [t for t, bag in self.bags.items() if v in bag]
-            if not nodes:
+        # In a tree, k nodes induce a connected subtree iff k - 1 tree edges
+        # join two of them.
+        joined = [0] * self.n
+        for a, b in self.edges:
+            for v in self.bags[a] & self.bags[b]:
+                joined[v] += 1
+        for v in range(self.n):
+            if not holding[v]:
                 raise TreeDecompositionError(f"vertex {v + 1} appears in no bag")
-            seen = {nodes[0]}
-            stack = [nodes[0]]
-            inside = set(nodes)
-            while stack:
-                t = stack.pop()
-                for s in adj[t]:
-                    if s in inside and s not in seen:
-                        seen.add(s)
-                        stack.append(s)
-            if len(seen) != len(nodes):
+            if joined[v] != len(holding[v]) - 1:
                 raise TreeDecompositionError(
                     f"bags containing vertex {v + 1} are disconnected"
                 )
@@ -140,6 +151,8 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise TreeDecompositionError(f"line {lineno}: bad solution line")
             header = (int(parts[2]), int(parts[3]), int(parts[4]))
         elif parts[0] == "b":
+            if len(parts) < 2:
+                raise TreeDecompositionError(f"line {lineno}: bag line without an id")
             idx = int(parts[1])
             bags[idx - 1] = frozenset(int(x) - 1 for x in parts[2:])
         else:

@@ -8,7 +8,7 @@ from mmcut.branching import (
     PartialState,
     apply_reduction_rules,
     apply_stopping_rules,
-    branch_rule_of,
+    first_configuration,
     select_branch,
     solve_decision,
     solve_max,
@@ -116,7 +116,7 @@ class TestBranching:
     def test_b3_two_children_keep_pair_together(self):
         g = Graph.from_edges(4, [(0, 2), (1, 2), (2, 3)])
         state = make_state(g, 2, [(0, 0), (1, 1)])
-        assert branch_rule_of(state) == "B3"
+        assert first_configuration(state)[0] == "B3"
         children = select_branch(state)
         assert len(children) == 2
         assert [c.assign[2] == c.assign[3] for c in children] == [True, True]
@@ -125,7 +125,7 @@ class TestBranching:
     def test_b8_one_child_per_part(self):
         g = Graph.from_edges(7, [(0, 3), (0, 4), (3, 5), (5, 1), (4, 6)])
         state = make_state(g, 3, [(0, 0), (1, 1), (2, 2)])
-        assert branch_rule_of(state) == "B8"
+        assert first_configuration(state)[0] == "B8"
         children = select_branch(state)
         assert len(children) == 3  # one per part for the branch vertex
         assert {c.assign[3] for c in children} == {0, 1, 2}
@@ -137,7 +137,7 @@ class TestBranching:
         state = make_state(g, 2, [(0, 0)])
         reduced, _ = apply_reduction_rules(state)
         assert reduced.assign[:3] == [0, 0, 0]
-        assert branch_rule_of(reduced) is None
+        assert first_configuration(reduced) is None
         children = select_branch(reduced)
         assert len(children) == 1
         child = children[0]

@@ -87,6 +87,16 @@ class TestMaxparts:
         )
         assert code == 0 and out.splitlines()[0] == "maxparts 3"
 
+    def test_bad_td_file_exit_two(self, tmp_path, capsys):
+        graph = tmp_path / "two-edges.gr"
+        graph.write_text("p tw 4 2\n1 2\n3 4\n")
+        td = tmp_path / "forest.td"
+        td.write_text("s td 4 2 4\nb 1 1 2\nb 2 1 2\nb 3 3 4\nb 4 3 4\n1 2\n2 1\n3 4\n")
+        code, out, err = run_cli(
+            ["maxparts", "--engine", "treewidth", "--td", str(td), str(graph)], capsys
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestEnumerate:
     def test_json_lines(self, c6, capsys):

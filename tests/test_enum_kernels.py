@@ -122,11 +122,6 @@ class TestVcPipeline:
                 assert len(got) == len(set(got))
                 assert set(got) == want
 
-    def test_rejects_other_engines(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            list(enumerate_via_kernel(g, approx_vertex_cover(g), 1, engine="fast"))
-
 
 def build_cocluster_instance(s_edges, blob_classes, cross_edges):
     """S vertices first (by count inferred), then blob classes."""

@@ -19,6 +19,7 @@ from mmcut.graphs import (
     Graph,
     GraphFormatError,
     complete_graph,
+    component_labels,
     cycle_graph,
     parse_graph,
     path_graph,
@@ -76,6 +77,47 @@ class TestParsing:
             assert list(g.adj[v]) == sorted(set(g.adj[v]))
             for u in g.adj[v]:
                 assert v in g.adj[u]
+
+
+class TestComponentLabels:
+    def test_numbered_by_smallest_vertex(self):
+        g = Graph.from_edges(5, [(0, 3), (1, 4), (2, 4)])
+        assert component_labels(g.adj) == (2, [0, 1, 1, 0, 1])
+
+    def test_cut_edges_removed(self):
+        g = path_graph(5)
+        cut = frozenset({(1, 2), (3, 4)})
+        assert component_labels(g.adj, cut) == (3, [0, 0, 1, 1, 2])
+        # An edge is only removed in its (u, v), u < v orientation.
+        assert component_labels(g.adj, frozenset({(2, 1)})) == (1, [0] * 5)
+
+    def test_skipped_vertices_labelled_minus_one(self):
+        g = cycle_graph(6)
+        assert component_labels(g.adj, skip={0, 3}) == (2, [-1, 0, 0, -1, 1, 1])
+        assert component_labels(g.adj, skip=range(6)) == (0, [-1] * 6)
+
+    def test_matches_union_find(self, rng):
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, 0.4)
+            cut = frozenset(e for e in g.edges() if rng.random() < 0.3)
+            skip = {v for v in range(n) if rng.random() < 0.2}
+            parent = list(range(n))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for u, v in g.edges():
+                if (u, v) not in cut and u not in skip and v not in skip:
+                    parent[find(u)] = find(v)
+            roots: dict[int, int] = {}
+            want = [
+                -1 if v in skip else roots.setdefault(find(v), len(roots))
+                for v in range(n)
+            ]
+            assert component_labels(g.adj, cut, skip) == (len(roots), want)
 
 
 class TestValidate:

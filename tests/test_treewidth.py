@@ -43,6 +43,21 @@ class TestParseTd:
         with pytest.raises(TreeDecompositionError):
             bad.validate(path_graph(3))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Four bags and three edges, but one edge is doubled and the
+            # tree falls into two pieces.
+            "s td 4 2 4\nb 1 1 2\nb 2 1 2\nb 3 3 4\nb 4 3 4\n1 2\n2 1\n3 4\n",
+            "s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 3\n",  # edge to a missing bag
+            "s td 1 2 4\nb\n",  # bag line without an id
+        ],
+    )
+    def test_malformed_rejected(self, text):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(TreeDecompositionError):
+            parse_td(text).validate(g)
+
     def test_roundtrip(self):
         td = heuristic_decomposition(cycle_graph(6))
         again = parse_td(write_td(td))
