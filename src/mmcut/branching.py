@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cuts import Multicut, _crossing_violation, canonicalize
+from .cuts import Multicut, _crossing_violation, canonicalize, max_parts_of_cut
 from .graphs import Graph
 
 FREE = -1
@@ -88,9 +88,6 @@ class PartialState:
         out.free_count = self.free_count
         out.frozen = self.frozen
         return out
-
-    def is_free(self, v: int) -> bool:
-        return self.assign[v] == FREE
 
     def free_vertices(self) -> list[int]:
         return [v for v in range(self.graph.n) if self.assign[v] == FREE]
@@ -338,6 +335,17 @@ def _qualifying_arms(state: PartialState, v1: int) -> list[tuple[int, int, int, 
     return out
 
 
+def _arms_by_part(arms) -> dict[int, list[tuple[int, int, int, int]]]:
+    """Arms grouped by anchor part, keeping the first arm of each anchor."""
+    by_part: dict[int, list] = {}
+    anchors: set[int] = set()
+    for arm in arms:
+        if arm[1] not in anchors:
+            anchors.add(arm[1])
+            by_part.setdefault(arm[2], []).append(arm)
+    return by_part
+
+
 def _children(state, assignments_list):
     """Materialize child states, dropping immediately infeasible ones."""
     out = []
@@ -431,17 +439,7 @@ def _detect_b4prime(state, v1, cont, fnb):
     arms = _qualifying_arms(state, v1)
     if len(arms) < 2:
         return None
-    by_part: dict[int, list] = {}
-    for arm in arms:
-        by_part.setdefault(arm[2], []).append(arm)
-    for i in sorted(by_part):
-        group = by_part[i]
-        distinct = []
-        seen_anchor = set()
-        for arm in group:
-            if arm[1] not in seen_anchor:
-                seen_anchor.add(arm[1])
-                distinct.append(arm)
+    for i, distinct in sorted(_arms_by_part(arms).items()):
         if len(distinct) < 2:
             continue
         v2, _x, _i, v2p = distinct[0]
@@ -463,17 +461,10 @@ def _detect_b5(state, v1, cont, fnb):
     if len(cont) != 1 or len(fnb) < 2:
         return None
     (j, _count), = cont.items()
-    arms = [arm for arm in _qualifying_arms(state, v1) if arm[2] != j]
-    by_part: dict[int, list] = {}
-    for arm in arms:
-        by_part.setdefault(arm[2], []).append(arm)
-    for i in sorted(by_part):
-        distinct = []
-        seen_anchor = set()
-        for arm in by_part[i]:
-            if arm[1] not in seen_anchor:
-                seen_anchor.add(arm[1])
-                distinct.append(arm)
+    by_part = _arms_by_part(
+        arm for arm in _qualifying_arms(state, v1) if arm[2] != j
+    )
+    for i, distinct in sorted(by_part.items()):
         if len(distinct) < 2:
             continue
         v2, _x, _i, v2p = distinct[0]
@@ -488,12 +479,7 @@ def _detect_b5(state, v1, cont, fnb):
 def _detect_b6(state, v1, cont, fnb):
     if cont or len(fnb) < 4:
         return None
-    arms = _qualifying_arms(state, v1)
-    by_part: dict[int, list] = {}
-    for arm in arms:
-        group = by_part.setdefault(arm[2], [])
-        if arm[1] not in {g[1] for g in group}:
-            group.append(arm)
+    by_part = _arms_by_part(_qualifying_arms(state, v1))
     parts = sorted(p for p, group in by_part.items() if len(group) >= 2)
     if len(parts) < 2:
         return None
@@ -678,46 +664,34 @@ class _SearchStats:
 
 
 def _search(
-    state: PartialState, stats: _SearchStats, trace_path: list | None = None
-) -> list[int] | None:
+    state: PartialState, stats: _SearchStats
+) -> tuple[list[int], list] | None:
+    """Witness labels below ``state`` and the (rule, moves) journal of the
+    path to them, or None.  The journal is built while unwinding from the
+    witness, so failed branches leave nothing to undo."""
     stats.nodes += 1
-    mark = len(trace_path) if trace_path is not None else 0
     reduced, trace = apply_reduction_rules(state)
-    if trace_path is not None:
-        trace_path.extend(trace.applications)
     if reduced is None or reduced.used + reduced.free_count < reduced.ell:
-        if trace_path is not None:
-            del trace_path[mark:]
         return None
     if reduced.free_count == 0:
         if canonicalize(reduced.graph, reduced.assign).p >= reduced.ell:
-            return reduced.assign
-        if trace_path is not None:
-            del trace_path[mark:]
+            return reduced.assign, trace.applications
         return None
     rule, children = _select_branch_named(reduced)
     for child in children:
-        child_mark = len(trace_path) if trace_path is not None else 0
-        if trace_path is not None:
-            moves = tuple(
-                (v, child.assign[v])
-                for v in range(child.graph.n)
-                if child.assign[v] != reduced.assign[v]
-            )
-            trace_path.append((rule, moves))
         if child.free_count == 0:
-            if canonicalize(child.graph, child.assign).p >= child.ell:
-                return child.assign
-            if trace_path is not None:
-                del trace_path[child_mark:]
-            continue
-        result = _search(child, stats, trace_path)
-        if result is not None:
-            return result
-        if trace_path is not None:
-            del trace_path[child_mark:]
-    if trace_path is not None:
-        del trace_path[mark:]
+            if canonicalize(child.graph, child.assign).p < child.ell:
+                continue
+            found = child.assign, []
+        else:
+            found = _search(child, stats)
+            if found is None:
+                continue
+        labels, path = found
+        moves = tuple(
+            (v, p) for v, p in enumerate(child.assign) if p != reduced.assign[v]
+        )
+        return labels, trace.applications + [(rule, moves)] + path
     return None
 
 
@@ -775,18 +749,17 @@ def solve_decision(
         return None
     if len(graph.components()) >= ell:
         # Every component is a part of the cutless multicut.
-        from .cuts import max_parts_of_cut
-
         return max_parts_of_cut(graph, [])
     state = _seed_state(graph, ell)
     stats = _SearchStats()
-    labels = (
-        _search(state, stats, trace_out) if state is not None else None
-    )
+    found = _search(state, stats) if state is not None else None
     if stats_out is not None:
         stats_out["nodes"] = stats.nodes
-    if labels is None:
+    if found is None:
         return None
+    labels, path = found
+    if trace_out is not None:
+        trace_out.extend(path)
     cut = canonicalize(graph, labels)
     assert cut.p >= ell
     return cut

@@ -112,6 +112,16 @@ class ClusterInstance:
 
 
 class _Reducer:
+    """Rules 1-9 of stage 1 over a mutable copy of the graph.
+
+    Each round takes one snapshot of the derived structure: ``clusters``
+    (components of the alive vertices outside the modulator, ordered by
+    smallest vertex), ``group_of`` (modulator vertex -> index in ``mono``)
+    and ``stars`` (``nstar`` of every group).  Every rule returns as soon
+    as it changes the graph or the groups, so a round holds at most one
+    mutation and every probe in it reads an exact snapshot.
+    """
+
     def __init__(self, graph: Graph, modulator: frozenset[int]):
         self.graph = graph
         self.mod = set(modulator)
@@ -122,14 +132,24 @@ class _Reducer:
         self.lift_entries: list[object] = []
         self.pendant_twins: list[PendantUnit] = []
         self.blue: set[tuple[int, ...]] = set()
+        self.clusters: list[tuple[int, ...]] = []
+        self.group_of: dict[int, int] = {}
+        self.stars: list[set[int]] = []
 
     # -- bookkeeping helpers ------------------------------------------------
 
-    def part_of(self, u: int) -> int:
-        for i, part in enumerate(self.mono):
-            if u in part:
-                return i
-        raise KeyError(u)
+    def snapshot(self) -> None:
+        skip = [
+            v for v in range(self.graph.n) if v in self.mod or v not in self.alive
+        ]
+        count, label = component_labels(self.adj, skip=skip)
+        members: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(label):
+            if c >= 0:
+                members[c].append(v)
+        self.clusters = [tuple(m) for m in members]
+        self.group_of = {u: i for i, part in enumerate(self.mono) for u in part}
+        self.stars = [self.nstar(part) for part in self.mono]
 
     def merge(self, i: int, j: int) -> None:
         if i == j:
@@ -137,26 +157,6 @@ class _Reducer:
         a, b = min(i, j), max(i, j)
         self.mono[a] |= self.mono[b]
         del self.mono[b]
-
-    def clusters(self) -> list[tuple[int, ...]]:
-        rest = sorted(self.alive - self.mod)
-        seen: set[int] = set()
-        out = []
-        for s in rest:
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if u not in self.mod and u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                        stack.append(u)
-            out.append(tuple(sorted(comp)))
-        return out
 
     def cluster_nbrs(self, cluster) -> set[int]:
         out = set()
@@ -184,22 +184,19 @@ class _Reducer:
 
     def nstar(self, part: set[int]) -> set[int]:
         """Vertices outside the modulator glued to this monochromatic group."""
-        out = {
-            v for v in self.alive - self.mod
-            if sum(1 for u in self.adj[v] if u in part) >= 2
-        }
-        for cluster in self.clusters():
+        out: set[int] = set()
+        for cluster in self.clusters:
             cset = set(cluster)
-            by_vertex = any(
-                sum(1 for u in self.adj[v] if u in part) >= 2 for v in cluster
-            )
-            if len(cluster) >= 3 and by_vertex:
-                out |= cset
-                continue
-            if any(
+            glued = [
+                v for v in cluster
+                if sum(1 for u in self.adj[v] if u in part) >= 2
+            ]
+            if (len(cluster) >= 3 and glued) or any(
                 sum(1 for z in self.adj[u] if z in cset) >= 2 for u in part
             ):
                 out |= cset
+            else:
+                out.update(glued)
         return out
 
     def remove_vertex(self, v: int, reason: str) -> None:
@@ -213,8 +210,9 @@ class _Reducer:
     # -- the reduction rules ------------------------------------------------
 
     def run(self) -> None:
+        self.snapshot()
         while self._apply_one():
-            pass
+            self.snapshot()
 
     def _apply_one(self) -> bool:
         return (
@@ -224,7 +222,7 @@ class _Reducer:
         )
 
     def _rule1(self) -> bool:
-        stars = [self.nstar(part) for part in self.mono]
+        stars = self.stars
         for i in range(len(stars)):
             for j in range(i + 1, len(stars)):
                 if stars[i] & stars[j]:
@@ -236,18 +234,17 @@ class _Reducer:
         mod = sorted(self.mod & self.alive)
         for ui_idx, u in enumerate(mod):
             for up in mod[ui_idx + 1:]:
-                if self.part_of(u) == self.part_of(up):
+                if self.group_of[u] == self.group_of[up]:
                     continue
                 common = self.adj[u] & self.adj[up] & self.alive
                 if len(common) >= 3:
-                    self.merge(self.part_of(u), self.part_of(up))
+                    self.merge(self.group_of[u], self.group_of[up])
                     return True
         return False
 
     def _rule3(self) -> bool:
-        for part in self.mono:
-            star = self.nstar(part)
-            inside = [c for c in self.clusters() if set(c) <= star]
+        for star in self.stars:
+            inside = [c for c in self.clusters if set(c) <= star]
             if len(inside) >= 2:
                 c1, c2 = inside[0], inside[1]
                 added = []
@@ -262,7 +259,7 @@ class _Reducer:
         return False
 
     def _rule4(self) -> bool:
-        for cluster in self.clusters():
+        for cluster in self.clusters:
             if len(cluster) <= 3:
                 continue
             for v in cluster:
@@ -272,9 +269,8 @@ class _Reducer:
         return False
 
     def _rule5(self) -> bool:
-        for part in self.mono:
-            star = self.nstar(part)
-            for cluster in self.clusters():
+        for part, star in zip(self.mono, self.stars):
+            for cluster in self.clusters:
                 if len(cluster) < 3 or not set(cluster) <= star:
                     continue
                 cset = set(cluster)
@@ -314,13 +310,13 @@ class _Reducer:
         hosts = []
         for a in cluster:
             ws = sorted(w for w in self.adj[a] if w in self.mod)
-            if len({self.part_of(w) for w in ws}) > 1:
+            if len({self.group_of[w] for w in ws}) > 1:
                 return None
             hosts.append(tuple(ws))
         return hosts[0], hosts[1]
 
     def _rule6(self) -> bool:
-        for cluster in self.clusters():
+        for cluster in self.clusters:
             if len(cluster) != 2:
                 continue
             hosts = self._simple_hosts(cluster)
@@ -337,11 +333,11 @@ class _Reducer:
         return False
 
     def _rule7(self) -> bool:
-        big = [c for c in self.clusters() if len(c) >= 3]
+        big = [c for c in self.clusters if len(c) >= 3]
         mod = sorted(self.mod & self.alive)
         for ui_idx, u in enumerate(mod):
             for up in mod[ui_idx + 1:]:
-                if self.part_of(u) == self.part_of(up):
+                if self.group_of[u] == self.group_of[up]:
                     continue
                 hits = 0
                 for c in big:
@@ -349,13 +345,13 @@ class _Reducer:
                     if self.adj[u] & cset and self.adj[up] & cset:
                         hits += 1
                 if hits >= 3:
-                    self.merge(self.part_of(u), self.part_of(up))
+                    self.merge(self.group_of[u], self.group_of[up])
                     return True
         return False
 
     def _rule89(self) -> bool:
         groups: dict[tuple, list[tuple[int, ...]]] = {}
-        for c in self.clusters():
+        for c in self.clusters:
             if self.is_matching_cluster(c):
                 key = (len(c), tuple(sorted(self.cluster_nbrs(c))))
                 groups.setdefault(key, []).append(c)
@@ -393,10 +389,10 @@ def _structure_asserts(red: _Reducer) -> None:
     pair_bound = 3 * (r * (r - 1) // 2)
     ambiguous = [
         v for v in red.alive - red.mod
-        if len({red.part_of(w) for w in red.adj[v] if w in red.mod}) >= 2
+        if len({red.group_of[w] for w in red.adj[v] if w in red.mod}) >= 2
     ]
     assert len(ambiguous) <= pair_bound, "too many ambiguous vertices"
-    clusters = red.clusters()
+    clusters = red.clusters
     # A cluster keeps at most 3 rewired host edges plus one attachment per
     # other monochromatic group; oversized remainders lose their unattached
     # vertices.
@@ -405,16 +401,15 @@ def _structure_asserts(red: _Reducer) -> None:
     spanning = [
         c for c in clusters
         if len(c) >= 3 and red.is_matching_cluster(c)
-        and len({red.part_of(w) for w in red.cluster_nbrs(c)}) >= 2
+        and len({red.group_of[w] for w in red.cluster_nbrs(c)}) >= 2
     ]
     assert len(spanning) <= pair_bound, "too many spanning matching clusters"
     fixed_or_ambig = 0
-    stars = [red.nstar(part) for part in red.mono]
     amb = set(ambiguous)
     for c in clusters:
         if len(c) == 2:
             continue
-        if any(set(c) <= s for s in stars) or amb.intersection(c):
+        if any(set(c) <= s for s in red.stars) or amb.intersection(c):
             fixed_or_ambig += 1
     assert fixed_or_ambig <= r + pair_bound, "too many fixed/ambiguous clusters"
 
@@ -433,11 +428,10 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
     _structure_asserts(red)
 
     mono = tuple(frozenset(p) for p in red.mono)
-    part_index = {u: i for i, p in enumerate(mono) for u in p}
     held: list[HeldCluster] = []
     pendants: list[PendantUnit] = list(red.pendant_twins)
     h_vertices = set(red.alive)
-    for cluster in red.clusters():
+    for cluster in red.clusters:
         nbrs = sorted(red.cluster_nbrs(cluster))
         if not nbrs:
             h_vertices.difference_update(cluster)
@@ -449,7 +443,7 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
             continue
         if not red.is_matching_cluster(cluster):
             continue
-        if len({part_index[w] for w in nbrs}) != 1:
+        if len({red.group_of[w] for w in nbrs}) != 1:
             continue
         h_vertices.difference_update(cluster)
         pendant = len(cluster) == 2 and len(nbrs) == 1

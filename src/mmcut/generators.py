@@ -19,6 +19,7 @@ from .cuts import Multicut, canonicalize, validate_multicut
 from .graphs import Graph
 from .oracle import (
     SetPackingInstance,
+    enumerate_set_packings,
     has_packing_of_size,
     max_independent_set,
     max_parts,
@@ -423,8 +424,6 @@ def verify_sp_reduction(
         report.fail(f"decision mismatch: source {source_yes}, target {target_yes}")
     else:
         report.note(f"decisions agree ({'yes' if source_yes else 'no'})")
-    from .oracle import enumerate_set_packings
-
     for packing in enumerate_set_packings(inst, inst.k):
         cut = cert.forward(packing)
         back = cert.backward(cut)
@@ -449,8 +448,6 @@ def verify_cross_composition(
         )
     else:
         report.note(f"OR semantics agree ({'yes' if source_or else 'no'})")
-    from .oracle import enumerate_set_packings
-
     r = instances[0].k
     for a, inst in enumerate(instances):
         for packing in enumerate_set_packings(inst, r):

@@ -238,6 +238,8 @@ def enumerate_set_packings(
     def rec(start: int, used_mask: int) -> Iterator[tuple[int, ...]]:
         if len(chosen) >= min_size:
             yield tuple(chosen)
+        elif len(chosen) + (nsets - start) < min_size:
+            return
         for j in range(start, nsets):
             if masks[j] & used_mask:
                 continue
@@ -250,24 +252,7 @@ def enumerate_set_packings(
 
 def has_packing_of_size(inst: SetPackingInstance, k: int) -> bool:
     """Decision form: does a packing of size >= k exist?"""
-    if k <= 0:
-        return True
-    masks = inst.masks()
-    nsets = len(masks)
-
-    def rec(start: int, used_mask: int, size: int) -> bool:
-        if size >= k:
-            return True
-        if size + (nsets - start) < k:
-            return False
-        for j in range(start, nsets):
-            if masks[j] & used_mask:
-                continue
-            if rec(j + 1, used_mask | masks[j], size + 1):
-                return True
-        return False
-
-    return rec(0, 0, 0)
+    return next(enumerate_set_packings(inst, k), None) is not None
 
 
 def parse_set_packing(text: str) -> SetPackingInstance:

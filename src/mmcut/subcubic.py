@@ -312,23 +312,8 @@ def strip_degree_one(graph: Graph) -> tuple[Graph, list[int]]:
     """
     adj = [set(a) for a in graph.adj]
     alive = set(range(graph.n))
-    _strip_low_degree_only_deg1(adj, alive)
+    _strip_low_degree(adj, alive)
     return graph.induced(sorted(alive))
-
-
-def _strip_low_degree_only_deg1(adj: list[set[int]], alive: set[int]) -> None:
-    queue = [v for v in alive if len(adj[v]) == 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive or len(adj[v]) != 1:
-            continue
-        alive.discard(v)
-        (u,) = adj[v]
-        adj[u].discard(v)
-        adj[v].clear()
-        if u in alive and len(adj[u]) == 1:
-            queue.append(u)
-    alive.difference_update({v for v in list(alive) if len(adj[v]) == 0})
 
 
 @dataclass(frozen=True)

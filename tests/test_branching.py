@@ -269,3 +269,8 @@ class TestSpecSolveExamples:
             for v, p in moves:
                 assert state.assign_vertex(v, p)
         assert state.free_count != g.n
+
+    def test_trace_out_stays_empty_without_witness(self):
+        trace = []
+        assert solve_decision(complete_graph(4), 2, trace_out=trace) is None
+        assert trace == []

@@ -4,6 +4,7 @@ import pytest
 
 from mmcut.enum_cluster import (
     ClusterInstance,
+    _Reducer,
     enumerate_cluster,
     enumerate_core,
     extend_with_matching_clusters,
@@ -87,6 +88,30 @@ class TestReduce:
             mod = approx_cluster_modulator(g)
             inst = reduce_cluster_instance(g, mod)
             assert inst.reconstruct_edges() == frozenset(g.edges())
+
+    def test_round_snapshot_describes_reduced_graph(self, rng):
+        # Clusters, group index and stars are taken once per rule round;
+        # after the last round they must match the reduced graph.
+        reduced_any = merged_any = False
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(3, 12), rng.choice([0.3, 0.5, 0.8]))
+            mod = approx_cluster_modulator(g).vertices
+            red = _Reducer(g, mod)
+            red.run()
+            reduced_any |= bool(red.journal)
+            merged_any |= len(red.mono) < len(mod)
+            work = Graph.from_edges(
+                g.n, [(u, v) for u in red.alive for v in red.adj[u] if u < v]
+            )
+            sub, ids = work.induced(sorted(red.alive - mod))
+            assert red.clusters == [
+                tuple(ids[i] for i in comp) for comp in sub.components()
+            ]
+            assert red.group_of == {
+                u: i for i, part in enumerate(red.mono) for u in part
+            }
+            assert red.stars == [red.nstar(part) for part in red.mono]
+        assert reduced_any and merged_any
 
     def test_invalid_modulator(self):
         with pytest.raises(ValueError):
