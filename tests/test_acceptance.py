@@ -399,26 +399,33 @@ def _ktree(width: int, n: int) -> tuple[Graph, TreeDecomposition]:
 class TestCriterion8:
     def test_dp_scales_linearly(self):
         sizes = [400, 800, 1200, 1600, 2000]
-        report = []
-        ok = True
-        for family, make in (
+        families = (
             ("path", lambda n: (path_graph(n), heuristic_decomposition(path_graph(n)))),
             ("cycle", lambda n: (cycle_graph(n), heuristic_decomposition(cycle_graph(n)))),
             ("ktree3", lambda n: _ktree(3, n)),
-        ):
-            times = []
+        )
+        cases = []
+        for family, make in families:
             for n in sizes:
                 graph, td = make(n)
                 ntd = nicify(td)
-                max_parts_tw(graph, ntd)  # warm caches before timing
-                best = None
-                for _ in range(5):
-                    t0 = time.perf_counter()
-                    value = max_parts_tw(graph, ntd)
-                    dt = time.perf_counter() - t0
-                    best = dt if best is None else min(best, dt)
+                assert max_parts_tw(graph, ntd) >= 1  # warm caches before timing
+                cases.append(((family, n), graph, ntd))
+        # Each round times every case once, so a slow spell on a shared
+        # host spreads over all sizes instead of skewing one of them; the
+        # fastest round per case is kept.
+        best = {}
+        for _ in range(7):
+            for key, graph, ntd in cases:
+                t0 = time.perf_counter()
+                value = max_parts_tw(graph, ntd)
+                dt = time.perf_counter() - t0
                 assert value >= 1
-                times.append(best)
+                best[key] = min(best.get(key, dt), dt)
+        report = []
+        ok = True
+        for family, _make in families:
+            times = [best[(family, n)] for n in sizes]
             r2 = fit_r_squared(sizes, times, 1)
             report.append(f"{family} R2={r2:.3f}")
             if r2 < 0.95:

@@ -265,7 +265,7 @@ class TestDelaySoftRegression:
         import numpy as np
 
         sizes = [60, 120, 240, 480]
-        worst = []
+        cases = []
         for n in sizes:
             spokes = n // 2
             edges = [(0, 1)]
@@ -274,16 +274,23 @@ class TestDelaySoftRegression:
                 edges.append((i % 2, nxt))
                 nxt += 1
             g = Graph.from_edges(nxt, edges)
-            mod = approx_vertex_cover(g)
-            gaps = []
-            last = time.perf_counter()
-            for count, _cut in enumerate(enumerate_via_kernel(g, mod, 1)):
-                now = time.perf_counter()
-                gaps.append(now - last)
-                last = now
-                if count >= 150:
-                    break
-            worst.append(max(gaps[1:]))
+            cases.append((g, approx_vertex_cover(g)))
+        # The gaps are a fraction of a millisecond, so one scheduler hiccup
+        # outweighs them: every round streams each size once, and the
+        # smallest worst gap over the rounds is kept per size.
+        worst = [None] * len(cases)
+        for _ in range(10):
+            for i, (g, mod) in enumerate(cases):
+                gaps = []
+                last = time.perf_counter()
+                for count, _cut in enumerate(enumerate_via_kernel(g, mod, 1)):
+                    now = time.perf_counter()
+                    gaps.append(now - last)
+                    last = now
+                    if count >= 150:
+                        break
+                gap = max(gaps[1:])
+                worst[i] = gap if worst[i] is None else min(worst[i], gap)
         xs = np.asarray(sizes, float)
         ys = np.asarray(worst, float)
         coeffs = np.polyfit(xs, ys, 2)
