@@ -15,6 +15,14 @@ valid closing assignment exists the engine falls back to branching the
 lowest free vertex over every open label.  A candidate assignment is
 accepted iff its canonical form has at least ``ell`` parts, so labelings
 that merge several connected parts into one label still certify a yes.
+
+``solve_max`` searches upward: from the cutless multicut (one part per
+component) it asks for one part more than its best witness has until the
+answer is no, so it never pays for the no-instances above the optimum
+except the last one.  Every rule round scans the neighborhoods once per
+rule family: the stopping rules in one pass, R1/R3 from one scan of the
+assigned vertices, and the B-detectors from one contact list per free
+vertex.
 """
 
 from __future__ import annotations
@@ -143,84 +151,89 @@ class PartialState:
 
 
 def apply_stopping_rules(state: PartialState) -> str | None:
-    """First stopping rule that proves no extension exists, else None."""
-    graph = state.graph
+    """First stopping rule, in S1..S4 priority, that proves no extension
+    exists, else None.
+
+    One pass over the vertices: S1 returns at once, S2-S4 are remembered,
+    and checks that can no longer change the verdict are skipped.
+    """
+    adj = state.graph.adj
     assign = state.assign
-    # S1: a free vertex with two strong part contacts.
-    for v in range(graph.n):
-        if assign[v] != FREE:
-            continue
-        cont = state.part_contacts(v)
-        strong = sum(1 for c in cont.values() if c >= 2)
-        if strong >= 2:
-            return "S1"
-    # S2: a free vertex touching three parts.
-    for v in range(graph.n):
-        if assign[v] == FREE and len(state.part_contacts(v)) >= 3:
-            return "S2"
-    # S3: a crossing edge whose endpoints share a free neighbor.
-    for u in range(graph.n):
-        pu = assign[u]
-        if pu == FREE:
-            continue
-        for v in graph.adj[u]:
-            if u < v and assign[v] != FREE and assign[v] != pu:
-                common = set(graph.adj[u]).intersection(graph.adj[v])
-                if any(assign[z] == FREE for z in common):
-                    return "S3"
-    # S4: an assigned vertex with two realized crossings.  Recomputed from
-    # adjacency so externally built states are handled too.
-    for v in range(graph.n):
-        pv = assign[v]
+    s2 = s3 = s4 = False
+    for v, pv in enumerate(assign):
         if pv == FREE:
-            continue
-        outside = sum(
-            1 for u in graph.adj[v] if assign[u] != FREE and assign[u] != pv
-        )
-        if outside >= 2:
-            return "S4"
-    return None
+            cont = state.part_contacts(v)
+            # S1: a free vertex with two strong part contacts.
+            if sum(1 for c in cont.values() if c >= 2) >= 2:
+                return "S1"
+            # S2: a free vertex touching three parts.
+            s2 = s2 or len(cont) >= 3
+        elif not (s2 or s3):
+            # S4 is recomputed from adjacency rather than read off
+            # ``state.cross``, so externally built states are handled too.
+            outside = 0
+            for u in adj[v]:
+                pu = assign[u]
+                if pu == FREE or pu == pv:
+                    continue
+                outside += 1
+                # S3: a crossing edge whose endpoints share a free neighbor.
+                if v < u and any(
+                    assign[z] == FREE and z in adj[u] for z in adj[v]
+                ):
+                    s3 = True
+            s4 = s4 or outside >= 2
+    if s2:
+        return "S2"
+    if s3:
+        return "S3"
+    return "S4" if s4 else None
 
 
 def _find_reduction(state: PartialState) -> tuple[str, tuple[tuple[int, int], ...]] | None:
     graph = state.graph
+    adj = graph.adj
     assign = state.assign
+    # One scan of the assigned vertices' neighborhoods serves R1, R3 and
+    # R7: the free neighbors of each assigned vertex (None for free ones)
+    # and the crossing edges (u, v), u < v, in ascending order.
+    free_nb: list[list[int] | None] = [None] * graph.n
+    crossing: list[tuple[int, int]] = []
 
     # R1: an assigned vertex with an adjacent free pair pulls the pair in.
-    for v in range(graph.n):
-        pv = assign[v]
+    for v, pv in enumerate(assign):
         if pv == FREE:
             continue
-        fnb = state.free_neighbors(v)
+        fnb = free_nb[v] = []
+        for u in adj[v]:
+            pu = assign[u]
+            if pu == FREE:
+                fnb.append(u)
+            elif pu != pv and v < u:
+                crossing.append((v, u))
         for i, x in enumerate(fnb):
-            xadj = graph.adj[x]
+            xadj = adj[x]
             for y in fnb[i + 1:]:
                 if y in xadj:
                     return ("R1", ((x, pv), (y, pv)))
-    # R2: a free vertex with two neighbors in a unique part joins it.
-    for v in range(graph.n):
-        if assign[v] != FREE:
+    # R2: a free vertex with two neighbors in a unique part joins it.  The
+    # same scan collects the free degree-2 vertices by neighborhood for R4/R5.
+    twins: dict[tuple[int, int], list[int]] = {}
+    for v, pv in enumerate(assign):
+        if pv != FREE:
             continue
         strong = [p for p, c in state.part_contacts(v).items() if c >= 2]
         if len(strong) == 1:
             return ("R2", ((v, strong[0]),))
+        if len(adj[v]) == 2:
+            twins.setdefault(adj[v], []).append(v)
     # R3: a crossing edge forces both endpoints' free neighbors inward.
-    for u in range(graph.n):
-        pu = assign[u]
-        if pu == FREE:
-            continue
-        for v in graph.adj[u]:
-            pv = assign[v]
-            if u < v and pv != FREE and pv != pu:
-                moves = [(z, pu) for z in state.free_neighbors(u)]
-                moves += [(z, pv) for z in state.free_neighbors(v)]
-                if moves:
-                    return ("R3", tuple(moves))
+    for u, v in crossing:
+        moves = [(z, assign[u]) for z in free_nb[u]]
+        moves += [(z, assign[v]) for z in free_nb[v]]
+        if moves:
+            return ("R3", tuple(moves))
     # R4/R5: free degree-2 twins over an assigned pair.
-    twins: dict[tuple[int, int], list[int]] = {}
-    for v in range(graph.n):
-        if assign[v] == FREE and len(graph.adj[v]) == 2:
-            twins.setdefault(graph.adj[v], []).append(v)
     for (x, y), members in sorted(twins.items()):
         if len(members) < 2:
             continue
@@ -254,13 +267,15 @@ def _find_reduction(state: PartialState) -> tuple[str, tuple[tuple[int, int], ..
     # R7: only sound when maximizing two parts; for larger targets the
     # forced move can destroy an extra-part completion, so it stays off.
     if state.ell == 2:
-        move = _find_r7(state)
+        move = _find_r7(state, free_nb)
         if move is not None:
             return move
     return None
 
 
-def _find_r7(state: PartialState) -> tuple[str, tuple[tuple[int, int], ...]] | None:
+def _find_r7(
+    state: PartialState, free_nb: list[list[int] | None]
+) -> tuple[str, tuple[tuple[int, int], ...]] | None:
     graph = state.graph
     assign = state.assign
     for u in range(graph.n):
@@ -275,8 +290,8 @@ def _find_r7(state: PartialState) -> tuple[str, tuple[tuple[int, int], ...]] | N
         y = next(z for z in graph.adj[w] if z != u)
         if assign[x] == FREE or assign[y] == FREE or assign[x] == assign[y]:
             continue
-        vprime = [z for z in state.free_neighbors(x) if z != v]
-        wprime = [z for z in state.free_neighbors(y) if z != w]
+        vprime = [z for z in free_nb[x] if z != v]
+        wprime = [z for z in free_nb[y] if z != w]
         if not vprime or not wprime:
             continue
         named = {u, v, w, x, y, vprime[0], wprime[0]}
@@ -604,13 +619,13 @@ def _completion(state: PartialState) -> PartialState | None:
 def first_configuration(state: PartialState) -> tuple[str, list] | None:
     """The first applicable B-configuration, trying rules in order and
     candidate vertices in ascending id: its name and its branches."""
+    candidates = [
+        (v1, state.part_contacts(v1), state.free_neighbors(v1))
+        for v1, p in enumerate(state.assign) if p == FREE
+    ]
     for rule, detector in _DETECTORS:
-        for v1 in range(state.graph.n):
-            if state.assign[v1] != FREE:
-                continue
-            branches = detector(
-                state, v1, state.part_contacts(v1), state.free_neighbors(v1)
-            )
+        for v1, cont, fnb in candidates:
+            branches = detector(state, v1, cont, fnb)
             if branches is not None:
                 return rule, branches
     return None
@@ -761,16 +776,28 @@ def solve_decision(
     if trace_out is not None:
         trace_out.extend(path)
     cut = canonicalize(graph, labels)
-    assert cut.p >= ell
+    if cut.p < ell:
+        raise RuntimeError(f"search witness has {cut.p} parts, fewer than {ell}")
     return cut
 
 
 def solve_max(graph: Graph) -> tuple[int, Multicut]:
-    """Maximum part count and a witness, by descending decision calls."""
-    if graph.n == 0:
-        return 0, Multicut((), 0, frozenset())
-    for ell in range(graph.n, 0, -1):
-        cut = solve_decision(graph, ell)
-        if cut is not None:
-            return ell, cut
-    raise AssertionError("a non-empty graph always has a 1-part multicut")
+    """Maximum part count and a witness, by ascending decision calls.
+
+    The search starts from the cutless multicut, one part per component,
+    and asks ``solve_decision(graph, best.p + 1)`` until the answer is no.
+    This is exact because part counts are monotone: while some component
+    holds two parts, two of them are adjacent, and merging them gives a
+    multicut with one part fewer, since a merge never raises a crossing
+    count.  So a yes at ``ell`` means a yes at every ``ell`` down to the
+    number of components, and the first no lies just above the maximum.
+    A witness may have more parts than asked for, so the next query starts
+    above its ``p``, and the last witness has exactly the maximum count.
+    """
+    best = max_parts_of_cut(graph, [])
+    while best.p < graph.n:
+        cut = solve_decision(graph, best.p + 1)
+        if cut is None:
+            break
+        best = cut
+    return best.p, best

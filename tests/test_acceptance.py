@@ -10,6 +10,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from mmcut.branching import solve_decision, solve_max
 from mmcut.enum_cluster import enumerate_cluster
@@ -71,6 +72,7 @@ def fit_r_squared(xs, ys, degree: int) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+@pytest.mark.slow
 class TestCriterion1:
     def test_decision_oracle_equivalence(self):
         """Branching, treewidth DP and oracle agree for every ell on 5e4
@@ -93,6 +95,7 @@ class TestCriterion1:
         assert mismatches == 0
 
 
+@pytest.mark.slow
 class TestCriterion2:
     def test_enumeration_oracle_equivalence(self):
         """All three enumeration pipelines emit exactly the oracle's
@@ -450,6 +453,7 @@ def _delay_family(n_target: int) -> tuple[Graph, frozenset]:
     return Graph.from_edges(nxt, edges), frozenset(range(hosts))
 
 
+@pytest.mark.slow
 class TestCriterion9:
     def test_enumeration_delay_polynomial(self):
         sizes = [100, 250, 500, 750, 1000]
