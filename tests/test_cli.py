@@ -1,8 +1,13 @@
 """Command-line surface: formats, exit codes, byte stability."""
 
 
+import contextlib
+import io
 import json
+import pathlib
+import shlex
 import sys
+import tempfile
 
 import pytest
 
@@ -250,3 +255,96 @@ class TestBundledCorpus:
             )
             assert code == 0, (path.name, out)
             assert out.strip().endswith("PASS")
+
+
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+# Fixed invocations on the bundled instances.  "{I}" is the instances
+# directory, "{T}" a fresh empty directory for the files a command writes.
+GOLDEN_CASES = {
+    "solve-branching": "solve --engine branching --ell 3 {I}/c6.gr",
+    "solve-branching-trace": "solve --ell 4 --trace {T}/trace.jsonl {I}/caterpillar.gr",
+    "solve-branching-trace-no": "solve --ell 3 --trace {T}/trace.jsonl {I}/k4.gr",
+    "solve-treewidth": "solve --engine treewidth --ell 4 {I}/p8.gr",
+    "solve-treewidth-td": "solve --engine treewidth --td {I}/c6.td --ell 3 {I}/c6.gr",
+    "solve-treewidth-no": "solve --engine treewidth --ell 2 {I}/k4.gr",
+    "solve-oracle": "solve --engine oracle --ell 3 {I}/two_triangles.gr",
+    "solve-oracle-no": "solve --engine oracle --ell 2 {I}/k4.gr",
+    "solve-format": "solve --format pace-gr --ell 5 {I}/isolated.gr",
+    "maxparts-branching": "maxparts --engine branching {I}/petersen.gr",
+    "maxparts-branching-trace": "maxparts --trace {T}/trace.jsonl {I}/caterpillar.gr",
+    "maxparts-treewidth": "maxparts --engine treewidth {I}/caterpillar.gr",
+    "maxparts-treewidth-td": "maxparts --engine treewidth --td {I}/c6.td {I}/c6.gr",
+    "maxparts-oracle": "maxparts --engine oracle {I}/two_triangles.gr",
+    "maxparts-isolated": "maxparts --engine treewidth {I}/isolated.gr",
+    "enumerate-vc": "enumerate --param vc --ell 2 {I}/caterpillar.gr",
+    "enumerate-vc-modulator": "enumerate --param vc --ell 3 --modulator '2 4 6 8' {I}/p8.gr",
+    "enumerate-vc-isolated": "enumerate --param vc --ell 4 {I}/isolated.gr",
+    "enumerate-vc-isolated-cover":
+        "enumerate --param vc --ell 2 --modulator '2 3 5 6 7' {I}/isolated.gr",
+    "enumerate-vc-empty": "enumerate --param vc --ell 2 {I}/k4.gr",
+    "enumerate-cocluster": "enumerate --param cocluster --ell 1 {I}/two_triangles.gr",
+    "enumerate-cocluster-modulator":
+        "enumerate --param cocluster --ell 2 --modulator '1 2 4 5' {I}/c6.gr",
+    "enumerate-cocluster-isolated": "enumerate --param cocluster --ell 3 {I}/isolated.gr",
+    "enumerate-cluster": "enumerate --param cluster --ell 2 --stats {I}/c6.gr",
+    "enumerate-cluster-modulator":
+        "enumerate --ell 3 --modulator '1 2 3 4 5' {I}/caterpillar.gr",
+    "enumerate-cluster-isolated": "enumerate --ell 4 {I}/isolated.gr",
+    "enumerate-cluster-empty": "enumerate --param cluster --ell 3 {I}/petersen.gr",
+    "enumerate-not-a-modulator": "enumerate --param vc --ell 2 --modulator 1 {I}/c6.gr",
+    "kernelize-solved": "kernelize --subcubic --ell 3 --output {T}/kernel.gr {I}/isolated.gr",
+    "kernelize-kernel": "kernelize --subcubic --ell 2 --output {T}/kernel.gr {I}/petersen.gr",
+    "kernelize-kernel-stdout": "kernelize --subcubic --ell 3 {I}/c6.gr",
+    "generate-is2mmc": "generate is2mmc {I}/k4.gr -k 1 -o {T}/target.gr --cert {T}/cert.json",
+    "generate-is2mmc-stdout": "generate is2mmc {I}/petersen.gr -k 2 --variant cubic",
+    "generate-sp2mmc": "generate sp2mmc {I}/tiny.sp --output {T}/target.gr --cert {T}/cert.json",
+    "generate-sp2mmc-stdout": "generate sp2mmc {I}/chain.sp",
+    "generate-xcompose":
+        "generate xcompose {I}/tiny.sp {I}/chain.sp -o {T}/composed.sp --cert {T}/cert.json",
+    "generate-xcompose-stdout": "generate xcompose {I}/chain.sp {I}/tiny.sp",
+    "verify-agreement": "verify agreement {I}/c6.gr",
+    "verify-agreement-ell": "verify agreement --ell 2 {I}/isolated.gr",
+    "verify-is2mmc": "verify is2mmc {I}/k4.gr -k 1",
+    "verify-is2mmc-no": "verify is2mmc {I}/k4.gr -k 2",
+    "verify-sp2mmc": "verify sp2mmc {I}/chain.sp",
+    "verify-xcompose": "verify xcompose {I}/tiny.sp {I}/chain.sp",
+    "missing-file": "solve --ell 2 {I}/missing.gr",
+}
+
+
+def capture_golden(command: str, tmp: pathlib.Path) -> dict:
+    """Exit code, stdout and every file written of one invocation; ``tmp``
+    must be an empty directory."""
+    argv = [
+        arg.replace("{I}", str(INSTANCES)).replace("{T}", str(tmp))
+        for arg in shlex.split(command)
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    files = {path.name: path.read_text() for path in sorted(tmp.iterdir())}
+    return {"code": code, "stdout": out.getvalue(), "files": files}
+
+
+class TestGolden:
+    """Byte-level behaviour of the CLI, pinned by a fixture that
+    ``python tests/test_cli.py`` rewrites from the current code."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_matches_fixture(self, name, tmp_path):
+        want = json.loads(GOLDEN.read_text())[name]
+        assert capture_golden(GOLDEN_CASES[name], tmp_path) == want
+
+    def test_fixture_covers_every_case(self):
+        assert set(json.loads(GOLDEN.read_text())) == set(GOLDEN_CASES)
+
+
+if __name__ == "__main__":
+    golden = {}
+    for name, command in sorted(GOLDEN_CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            golden[name] = capture_golden(command, pathlib.Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
