@@ -228,6 +228,62 @@ class TestGenerateVerify:
         assert "AGREE" in out
 
 
+
+class TestMalformedArguments:
+    """A malformed ``--ell`` or ``--modulator`` is a usage error: exit 2
+    from argparse, before any engine runs."""
+
+    def usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, err
+        assert "error:" in err and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("ell", ["0", "-1", "two"])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["solve", "--engine", "treewidth"],
+        ["enumerate", "--param", "vc"],
+        ["enumerate", "--param", "cocluster"],
+        ["enumerate", "--param", "cluster"],
+        ["kernelize", "--subcubic"],
+        ["verify", "agreement"],
+    ])
+    def test_ell_below_one(self, command, ell, c6, capsys):
+        err = self.usage_error(command + ["--ell", ell, c6], capsys)
+        assert "--ell" in err
+
+    @pytest.mark.parametrize("ids", ["1 x", "0 3", "-1", "1.5"])
+    @pytest.mark.parametrize("param", ["vc", "cocluster", "cluster"])
+    def test_modulator_not_vertex_ids(self, param, ids, c6, capsys):
+        err = self.usage_error(
+            ["enumerate", "--param", param, "--ell", "2", "--modulator", ids, c6],
+            capsys,
+        )
+        assert "--modulator" in err
+
+    def test_modulator_vertex_outside_graph(self, c6, capsys):
+        code, out, err = run_cli(
+            ["enumerate", "--param", "vc", "--ell", "2",
+             "--modulator", "1 3 5 7", c6],
+            capsys,
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_console_script_prints_no_traceback(self, c6):
+        import subprocess
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmcut.cli", "enumerate", "--param", "vc",
+             "--ell", "2", "--modulator", "1 x", c6],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "--modulator" in proc.stderr
+
 class TestConsoleScript:
     def test_main_module_entry(self, k3):
         import subprocess
