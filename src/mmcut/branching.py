@@ -2,7 +2,9 @@
 
 The search works over partial assignments of vertices to at most ``ell``
 part labels plus a free pool, driven by stopping rules S1-S4, reduction
-rules R1-R7 and branching configurations B1-B8/B4'.  Part-permutation
+rules R1-R7 and branching configurations B1-B8/B4'.  B6 has no detector:
+every B6 configuration also satisfies B4 at the same vertex, and B4 is
+tried on every vertex first.  Part-permutation
 symmetry is broken by restricted growth (label j+1 only opens after label
 j) and by seeding: isolated vertices and pendants with distinct hosts are
 pinned as frozen singleton parts (any witness can be rearranged that way),
@@ -33,11 +35,6 @@ from .cuts import Multicut, _crossing_violation, canonicalize, max_parts_of_cut
 from .graphs import Graph
 
 FREE = -1
-
-STOP_RULES = ("S1", "S2", "S3", "S4")
-REDUCTION_RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7")
-BRANCH_RULES = ("B1", "B2", "B3", "B4", "B4'", "B5", "B6", "B7", "B8")
-
 
 @dataclass
 class RuleTrace:
@@ -329,7 +326,7 @@ def apply_reduction_rules(
 
 
 def _qualifying_arms(state: PartialState, v1: int) -> list[tuple[int, int, int, int]]:
-    """Free neighbors of v1 shaped like B4/B5/B6 arms.
+    """Free neighbors of v1 shaped like B4/B4'/B5 arms.
 
     Returns (arm vertex, anchor vertex, anchor part, anchor's spare free
     neighbor) for every free degree-2 neighbor whose other endpoint is
@@ -491,40 +488,6 @@ def _detect_b5(state, v1, cont, fnb):
     return None
 
 
-def _detect_b6(state, v1, cont, fnb):
-    if cont or len(fnb) < 4:
-        return None
-    by_part = _arms_by_part(_qualifying_arms(state, v1))
-    parts = sorted(p for p, group in by_part.items() if len(group) >= 2)
-    if len(parts) < 2:
-        return None
-    i, j = parts[0], parts[1]
-    (v2, _, _, v2p), (v3, _, _, v3p) = by_part[i][0], by_part[i][1]
-    (v4, _, _, v4p), (v5, _, _, v5p) = by_part[j][0], by_part[j][1]
-    if len({v2, v3, v4, v5}) != 4:
-        return None
-    branches = [
-        ((v1, i), (v2, i), (v3, i)),
-        ((v1, j), (v4, j), (v5, j)),
-    ]
-    arm_info = {v2: (i, v2p), v3: (i, v3p), v4: (j, v4p), v5: (j, v5p)}
-    for k in state.open_parts(exclude=(i, j)):
-        branches.append(
-            ((v1, k), (v2, k), (v3, k), (v4, k), (v5, k),
-             (v2p, i), (v3p, i), (v4p, j), (v5p, j))
-        )
-        for defector in (v2, v3, v4, v5):
-            dpart, _dspare = arm_info[defector]
-            moves = [(defector, dpart), (v1, k)]
-            for other in (v2, v3, v4, v5):
-                if other != defector:
-                    opart, ospare = arm_info[other]
-                    moves.append((other, k))
-                    moves.append((ospare, opart))
-            branches.append(tuple(moves))
-    return branches
-
-
 def _detect_b7(state, v1, cont, fnb):
     if len(state.graph.adj[v1]) != 2 or len(cont) != 2 or fnb:
         return None
@@ -567,7 +530,6 @@ _DETECTORS = (
     ("B4", _detect_b4),
     ("B4'", _detect_b4prime),
     ("B5", _detect_b5),
-    ("B6", _detect_b6),
     ("B7", _detect_b7),
     ("B8", _detect_b8),
 )

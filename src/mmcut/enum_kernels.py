@@ -40,12 +40,12 @@ def compress_vc(graph: Graph, cover: Modulator | frozenset[int]) -> VcKernel:
 
     Step (i) keeps one degree-1 neighbor per cover vertex, step (ii) keeps
     min(3, #common) shared higher-degree neighbors per cover pair; both pick
-    smallest ids.  Requires a graph without isolated vertices.
+    smallest ids.  Isolated vertices are left out of the cover and of the
+    kernel: they are singleton parts of every solution.
     """
-    x_set = set(cover.vertices if isinstance(cover, Modulator) else cover)
+    given = cover.vertices if isinstance(cover, Modulator) else cover
+    x_set = {x for x in given if graph.degree(x) > 0}
     for v in range(graph.n):
-        if graph.degree(v) == 0:
-            raise ValueError("strip isolated vertices before compressing")
         if v not in x_set:
             for u in graph.adj[v]:
                 if u not in x_set:
@@ -362,6 +362,8 @@ def enumerate_via_kernel(
     Kernel-side solutions are enumerated exhaustively; the kernel has O(k^2)
     vertices so this is the parameter-bounded part of the work.
     """
+    if ell < 1:
+        raise ValueError("ell must be positive")
     if modulator.kind == "vertex-cover":
         yield from _enumerate_vc(graph, set(modulator.vertices), ell)
     elif modulator.kind == "co-cluster":
@@ -388,31 +390,10 @@ def enumerate_via_kernel(
 
 
 def _enumerate_vc(graph: Graph, cover: set[int], ell: int) -> Iterator[Multicut]:
-    core_vertices = [v for v in range(graph.n) if graph.degree(v) > 0]
-    if not core_vertices:
-        cut = max_parts_of_cut(graph, [])
-        if cut.p >= ell:
-            yield cut
-        return
-    core, ids = graph.induced(core_vertices)
-    back = {i: v for i, v in enumerate(ids)}
-    core_cover = frozenset(
-        i for i, v in enumerate(ids) if v in cover
-    )
-    kern = compress_vc(core, core_cover)
-    # Lift in core ids, then translate to the full graph: isolated vertices
-    # are singleton parts of every solution and only shift the part count.
+    kern = compress_vc(graph, cover)
     for h_cut in _h_solution_edge_sets(kern.graph):
-        first = True
-        for core_cut in lift_vc(core, kern, h_cut):
-            g_edges = {
-                (min(back[u], back[v]), max(back[u], back[v]))
-                for u, v in core_cut.cut_edges
-            }
-            cut = max_parts_of_cut(graph, g_edges)
-            if first:
-                first = False
-                if cut.p < ell:
-                    # Part counts are constant across the class: skip it.
-                    break
+        for cut in lift_vc(graph, kern, h_cut):
+            if cut.p < ell:
+                # Part counts are constant across the class: skip it.
+                break
             yield cut

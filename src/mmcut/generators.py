@@ -378,22 +378,18 @@ def _independent_sets_of_size(graph: Graph, k: int):
 
 
 def verify_is_reduction(
-    graph: Graph, k: int, variant: str = "subcubic",
-    decide_target: Callable | None = None,
+    graph: Graph, k: int, variant: str = "subcubic"
 ) -> VerificationReport:
-    """Yes/no agreement between oracle independent set and the target
-    decision, plus forward/backward round-trips over every source solution.
-
-    ``decide_target`` decides (H, ell); by default the branching solver.
-    """
+    """Yes/no agreement between oracle independent set and the branching
+    solver's decision on the target, plus forward/backward round-trips over
+    every source solution."""
     from .branching import solve_decision
 
     target, ell, cert = reduce_is_to_mmc(graph, k, variant)
     report = VerificationReport(True, [])
     alpha = max_independent_set(graph)
     source_yes = alpha >= k
-    decide = decide_target or (lambda h, l: solve_decision(h, l) is not None)
-    target_yes = decide(target, ell)
+    target_yes = solve_decision(target, ell) is not None
     if source_yes != target_yes:
         report.fail(
             f"decision mismatch: alpha={alpha}, k={k}, target says {target_yes}"
@@ -412,14 +408,11 @@ def verify_is_reduction(
     return report
 
 
-def verify_sp_reduction(
-    inst: SetPackingInstance, limit: int | None = None
-) -> VerificationReport:
+def verify_sp_reduction(inst: SetPackingInstance) -> VerificationReport:
     target, ell, cert = reduce_set_packing_to_mmc(inst)
     report = VerificationReport(True, [])
     source_yes = has_packing_of_size(inst, inst.k)
-    bound = limit if limit is not None else target.n
-    target_yes = max_parts(target, limit=bound) >= ell
+    target_yes = max_parts(target, limit=target.n) >= ell
     if source_yes != target_yes:
         report.fail(f"decision mismatch: source {source_yes}, target {target_yes}")
     else:

@@ -326,6 +326,8 @@ def kernelize_subcubic(graph: Graph, ell: int) -> KernelizeResult:
     """Win-win pipeline: construct a witness via the pendant, subdivided-edge
     or cycle constructions, otherwise return the unchanged instance as the
     kernel (asserting it is small relative to ell)."""
+    if ell < 1:
+        raise ValueError("ell must be positive")
     _require_subcubic(graph)
     comps = graph.components()
     if graph.n > 0 and ell <= len(comps):

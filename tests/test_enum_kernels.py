@@ -49,9 +49,30 @@ class TestCompressVc:
         with pytest.raises(ValueError):
             compress_vc(path_graph(3), frozenset({0}))
 
-    def test_requires_no_isolated(self):
-        with pytest.raises(ValueError):
-            compress_vc(Graph.from_edges(3, [(0, 1)]), frozenset({0}))
+    def test_isolated_vertices_left_out(self, rng):
+        seen = 0
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(3, 9), 0.25)
+            core_ids = [v for v in range(g.n) if g.degree(v) > 0]
+            isolated = [v for v in range(g.n) if g.degree(v) == 0]
+            if not core_ids or not isolated:
+                continue
+            seen += 1
+            core, _ = g.induced(core_ids)
+            core_cover = approx_vertex_cover(core).vertices
+            cover = {core_ids[v] for v in core_cover} | set(isolated[::2])
+            kern = compress_vc(g, frozenset(cover))
+            assert kern.graph.n == compress_vc(core, core_cover).graph.n
+            assert kern.cover == {core_ids[v] for v in core_cover}
+            for ell in (1, 2, 3):
+                stream = [
+                    c.cut_edges for c in enumerate_via_kernel(
+                        g, Modulator("vertex-cover", frozenset(cover)), ell
+                    )
+                ]
+                assert len(stream) == len(set(stream))
+                assert set(stream) == oracle_solution_set(g, ell)
+        assert seen >= 50
 
     def test_size_bound(self, rng):
         for _ in range(100):
