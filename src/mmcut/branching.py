@@ -4,11 +4,11 @@ The search works over partial assignments of vertices to at most ``ell``
 part labels plus a free pool, driven by stopping rules S1-S4, reduction
 rules R1-R7 and branching configurations B1-B8/B4'.  B6 has no detector:
 every B6 configuration also satisfies B4 at the same vertex, and B4 is
-tried on every vertex first.  Part-permutation
-symmetry is broken by restricted growth (label j+1 only opens after label
-j) and by seeding: isolated vertices and pendants with distinct hosts are
-pinned as frozen singleton parts (any witness can be rearranged that way),
-then the lowest remaining vertex anchors the next label.
+tried on every vertex first.  Part-permutation symmetry is broken by
+restricted growth (label j+1 only opens after label j) and by seeding:
+isolated vertices and pendants with distinct hosts are pinned as frozen
+singleton parts (any witness can be rearranged that way), then the lowest
+remaining vertex anchors the next label.
 
 Two engine-level additions keep the rule set complete on arbitrary inputs:
 pendant vertices get a dedicated two-way branch (open a fresh singleton

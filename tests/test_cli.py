@@ -228,7 +228,6 @@ class TestGenerateVerify:
         assert "AGREE" in out
 
 
-
 class TestMalformedArguments:
     """A malformed ``--ell`` or ``--modulator`` is a usage error: exit 2
     from argparse, before any engine runs."""
