@@ -292,15 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--engine", default="branching",
                            choices=["branching", "treewidth", "oracle"])
             p.add_argument("--td", help="tree decomposition (.td) for the DP")
-            p.add_argument("--trace",
-                           help="dump the successful search path's rule "
-                                "applications as JSON lines (branching only)")
         if ell:
             p.add_argument("--ell", type=_ell, required=True,
                            help="required number of parts (at least 1)")
 
     p = sub.add_parser("solve", help="decide and print a witness")
     add_common(p, engine=True)
+    p.add_argument("--trace",
+                   help="dump the successful search path's rule "
+                        "applications as JSON lines (branching only)")
     p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("maxparts", help="maximum number of parts")

@@ -20,6 +20,11 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
+class InvariantError(RuntimeError):
+    """An engine's internal guarantee failed: a bug, not bad input.  Raised
+    explicitly so the check also runs under ``python -O``."""
+
+
 class Graph:
     """Immutable simple undirected graph without loops or parallel edges.
 

@@ -9,9 +9,10 @@ the role of minus infinity.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
-from .graphs import Graph, component_labels
+from .graphs import Graph, InvariantError, component_labels
 
 
 class TreeDecompositionError(ValueError):
@@ -183,39 +184,82 @@ def write_td(td: TreeDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def heuristic_decomposition(graph: Graph) -> TreeDecomposition:
+def heuristic_decomposition(
+    graph: Graph, stats_out: dict | None = None
+) -> TreeDecomposition:
     """Min-fill elimination ordering; ties broken by vertex id.
 
-    No width guarantee, but exact on trees and chordal graphs.
+    No width guarantee, but exact on trees and chordal graphs.  Each
+    vertex's fill (non-adjacent pairs among its remaining neighbours) sits
+    in a heap keyed by (fill, vertex); entries whose fill has since changed
+    are skipped on pop.  Eliminating v changes only the fills of its
+    neighbours and of common neighbours of a fill edge's ends, all within
+    distance two of v, and each change is applied as an exact difference:
+    a fill edge {a, b} costs O(min(deg a, deg b)), removing v costs
+    O(deg v), and each changed fill one heap push.  The initial fills
+    (from triangle counts) cost O(t·m) on a graph of treewidth t.  Where
+    no fill edge is added (trees, k-trees, chordal graphs) the whole
+    ordering takes O((t + log n)·m), whatever the degrees, against the
+    O(n²) of rescanning every vertex per elimination.
+    ``stats_out["rescored"]`` receives the number of fill updates, one per
+    vertex touched by an elimination.
     """
     n = graph.n
     if n == 0:
         return TreeDecomposition(0, {0: frozenset()}, [])
+    # Neighbours among the vertices not yet eliminated, fill edges included.
     nbrs: list[set[int]] = [set(a) for a in graph.adj]
-    alive = set(range(n))
+    # fill = pairs of neighbours - edges among them (triangles at v).
+    triangles = [0] * n
+    for a, b in graph.edges():
+        for w in nbrs[a] & nbrs[b]:
+            triangles[w] += 1
+    score = [len(nb) * (len(nb) - 1) // 2 - t for nb, t in zip(nbrs, triangles)]
+    queued = list(score)  # the fill of each vertex's newest heap entry
+    heap = [(f, v) for v, f in enumerate(score)]
+    heapq.heapify(heap)
+    eliminated = [False] * n
+    rescored = 0
     order: list[int] = []
     elim_bag: dict[int, frozenset[int]] = {}
-    for _ in range(n):
-        best_v, best_fill = -1, None
-        for v in sorted(alive):
-            live = nbrs[v] & alive
-            fill = 0
-            live_list = sorted(live)
-            for i, a in enumerate(live_list):
-                na = nbrs[a]
-                for b in live_list[i + 1:]:
-                    if b not in na:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        live = sorted(nbrs[best_v] & alive)
+    while heap:
+        f, v = heapq.heappop(heap)
+        if eliminated[v] or f != score[v]:
+            continue
+        eliminated[v] = True
+        live = list(nbrs[v])
+        touched = set(live)
         for i, a in enumerate(live):
+            na = nbrs[a]
             for b in live[i + 1:]:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-        elim_bag[best_v] = frozenset([best_v] + live)
-        order.append(best_v)
-        alive.discard(best_v)
+                if b in na:
+                    continue
+                # New pairs {b, x} at a for x not adjacent to b, and the
+                # pair {a, b} stops counting at every common neighbour.
+                nb = nbrs[b]
+                both = na & nb
+                score[a] += len(na) - len(both)
+                score[b] += len(nb) - len(both)
+                for w in both:
+                    score[w] -= 1
+                touched |= both
+                na.add(b)
+                nb.add(a)
+        # N(v) is now a clique, so at a neighbour a the pairs {v, x} that
+        # leave with v are those with x outside N[v].
+        for a in live:
+            score[a] -= len(nbrs[a]) - len(live)
+            nbrs[a].discard(v)
+        touched.discard(v)
+        rescored += len(touched)
+        for u in touched:
+            if score[u] != queued[u]:
+                queued[u] = score[u]
+                heapq.heappush(heap, (score[u], u))
+        elim_bag[v] = frozenset([v] + live)
+        order.append(v)
+    if stats_out is not None:
+        stats_out["rescored"] = rescored
     pos = {v: i for i, v in enumerate(order)}
     bags = {i: elim_bag[v] for i, v in enumerate(order)}
     edges = []
@@ -297,8 +341,12 @@ def nicify(td: TreeDecomposition) -> NiceTreeDecomposition:
 def _check_key(bag: tuple[int, ...], reps: tuple[int, ...]) -> None:
     rep_of = dict(zip(bag, reps))
     for v, r in zip(bag, reps):
-        assert r <= v, "representative must not exceed its vertex"
-        assert rep_of[r] == r, "representatives must be idempotent"
+        if r > v:
+            raise InvariantError(
+                f"representative {r} of vertex {v} exceeds its vertex"
+            )
+        if rep_of.get(r) != r:
+            raise InvariantError(f"representative {r} of vertex {v} is not its own")
 
 
 def _bag_cross_counts(graph: Graph, bag, reps) -> list[int] | None:
@@ -439,9 +487,14 @@ def transfer_join(graph: Graph, bag: tuple[int, ...], left: dict, right: dict) -
     return out
 
 
-def max_parts_tw(graph: Graph, ntd: NiceTreeDecomposition) -> int:
+def max_parts_tw(
+    graph: Graph, ntd: NiceTreeDecomposition, stats_out: dict | None = None
+) -> int:
     """c[root, empty, empty]: the maximum number of parts of any matching
-    multicut of the graph."""
+    multicut of the graph.  ``stats_out["table_entries"]`` receives the
+    table sizes summed over every node of the nice decomposition."""
+    if stats_out is not None:
+        stats_out["table_entries"] = 0
     if graph.n == 0:
         return 0
     tables: dict[int, dict] = {}
@@ -463,8 +516,13 @@ def max_parts_tw(graph: Graph, ntd: NiceTreeDecomposition) -> int:
                 graph, node.bag, tables.pop(id(a)), tables.pop(id(b))
             )
         bag_size = len(node.bag)
-        if bag_size:
-            assert len(table) <= (bag_size ** bag_size) * (2 ** bag_size)
+        if bag_size and len(table) > (bag_size ** bag_size) * (2 ** bag_size):
+            raise InvariantError(
+                f"{len(table)} table entries exceed the bound for a bag of "
+                f"{bag_size} vertices"
+            )
+        if stats_out is not None:
+            stats_out["table_entries"] += len(table)
         tables[id(node)] = table
     root_table = tables[id(ntd.root)]
     if not root_table:

@@ -440,6 +440,64 @@ class TestCriterion8:
         assert ok
 
 
+def growth_exponent(sizes, counts) -> float:
+    """Least-squares slope of log(count) against log(n)."""
+    return float(np.polyfit(np.log(sizes), np.log(counts), 1)[0])
+
+
+# A linear series has exponent 1; n log n over 400..2000 reads 1.15 and
+# n^2 reads 2.
+LINEAR_EXPONENT = 1.1
+
+
+class TestTreewidthWorkLinear:
+    """Deterministic work counters of min-fill, nicify and the DP together
+    grow linearly on width-bounded families.  Unlike criterion 8's
+    wall-time fit, the exponent criterion rejects a quadratic series."""
+
+    SIZES = [400, 800, 1200, 1600, 2000]
+
+    def test_criterion_rejects_superlinear(self):
+        sizes = self.SIZES
+        assert growth_exponent(sizes, [3 * n + 7 for n in sizes]) <= LINEAR_EXPONENT
+        assert growth_exponent(sizes, [n * n for n in sizes]) > LINEAR_EXPONENT
+        assert growth_exponent(sizes, [n * n // 50 + n for n in sizes]) > LINEAR_EXPONENT
+        assert growth_exponent(sizes, [n * math.log2(n) for n in sizes]) > LINEAR_EXPONENT
+
+    # family -> (graph of n vertices, its treewidth)
+    FAMILIES = {
+        "path": (path_graph, 1),
+        "cycle": (cycle_graph, 2),
+        "ktree3": (lambda n: _ktree(3, n)[0], 3),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_dp_table_entries_linear(self, family):
+        make, width = self.FAMILIES[family]
+        entries = []
+        for n in self.SIZES:
+            graph = make(n)
+            ntd = nicify(heuristic_decomposition(graph))
+            assert ntd.width == width
+            stats = {}
+            assert max_parts_tw(graph, ntd, stats_out=stats) >= 1
+            entries.append(stats["table_entries"])
+        exponent = growth_exponent(self.SIZES, entries)
+        assert exponent <= LINEAR_EXPONENT, (family, entries, exponent)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_min_fill_rescored_linear(self, family):
+        make, _width = self.FAMILIES[family]
+        sizes = [500, 1000, 2000]
+        rescored = []
+        for n in sizes:
+            stats = {}
+            heuristic_decomposition(make(n), stats_out=stats)
+            rescored.append(stats["rescored"])
+        exponent = growth_exponent(sizes, rescored)
+        assert exponent <= LINEAR_EXPONENT, (family, rescored, exponent)
+
+
 def _delay_family(n_target: int) -> tuple[Graph, frozenset]:
     hosts = 4
     edges = [(i, i + 1) for i in range(hosts - 1)]

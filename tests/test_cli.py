@@ -371,14 +371,18 @@ GOLDEN_CASES = {
 
 def capture_golden(command: str, tmp: pathlib.Path) -> dict:
     """Exit code, stdout and every file written of one invocation; ``tmp``
-    must be an empty directory."""
+    must be an empty directory.  A usage error records argparse's exit
+    code."""
     argv = [
         arg.replace("{I}", str(INSTANCES)).replace("{T}", str(tmp))
         for arg in shlex.split(command)
     ]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     files = {path.name: path.read_text() for path in sorted(tmp.iterdir())}
     return {"code": code, "stdout": out.getvalue(), "files": files}
 

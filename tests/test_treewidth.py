@@ -1,11 +1,20 @@
 """Tree decomposition machinery and the maximum-parts DP."""
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
-from mmcut.graphs import Graph, complete_graph, cycle_graph, path_graph
+from mmcut import treewidth
+from mmcut.graphs import Graph, InvariantError, complete_graph, cycle_graph, path_graph
 from mmcut.oracle import max_parts
 from mmcut.treewidth import (
+    TreeDecomposition,
     TreeDecompositionError,
+    _check_key,
     heuristic_decomposition,
     max_parts_tw,
     nicify,
@@ -80,6 +89,117 @@ class TestHeuristic:
             g = random_graph(rng, rng.randint(1, 9), 0.4)
             td = heuristic_decomposition(g)
             td.validate(g)
+
+
+def reference_min_fill(graph: Graph) -> TreeDecomposition:
+    """The O(n^2) min-fill that rescans every alive vertex per elimination,
+    kept as the reference for the incremental one."""
+    n = graph.n
+    if n == 0:
+        return TreeDecomposition(0, {0: frozenset()}, [])
+    nbrs = [set(a) for a in graph.adj]
+    alive = set(range(n))
+    order = []
+    elim_bag = {}
+    for _ in range(n):
+        best_v, best_fill = -1, None
+        for v in sorted(alive):
+            live_list = sorted(nbrs[v] & alive)
+            fill = 0
+            for i, a in enumerate(live_list):
+                for b in live_list[i + 1:]:
+                    if b not in nbrs[a]:
+                        fill += 1
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        live = sorted(nbrs[best_v] & alive)
+        for i, a in enumerate(live):
+            for b in live[i + 1:]:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+        elim_bag[best_v] = frozenset([best_v] + live)
+        order.append(best_v)
+        alive.discard(best_v)
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    roots = []
+    for i, v in enumerate(order):
+        later = [u for u in elim_bag[v] if u != v]
+        if later:
+            edges.append((i, pos[min(later, key=lambda u: pos[u])]))
+        else:
+            roots.append(i)
+    edges.extend(zip(roots, roots[1:]))
+    return TreeDecomposition(n, {i: elim_bag[v] for i, v in enumerate(order)}, edges)
+
+
+def caterpillar(spine: int, legs: int) -> Graph:
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        for j in range(legs):
+            edges.append((i, spine + i * legs + j))
+    return Graph.from_edges(spine * (legs + 1), edges)
+
+
+def partial_ktree(rng: random.Random, k: int, n: int, keep: float) -> Graph:
+    """A random k-tree on n vertices with each edge kept with probability
+    ``keep``."""
+    edges = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    cliques = [tuple(range(k + 1))]
+    for v in range(k + 1, n):
+        sub = rng.sample(rng.choice(cliques), k)
+        edges.extend((u, v) for u in sub)
+        cliques.append(tuple(sub) + (v,))
+    return Graph.from_edges(n, [e for e in edges if rng.random() < keep])
+
+
+class TestMinFillMatchesReference:
+    """The incremental min-fill picks the same elimination order as the
+    full rescan, so bags and tree edges are identical."""
+
+    @staticmethod
+    def assert_same(graph):
+        got = heuristic_decomposition(graph)
+        want = reference_min_fill(graph)
+        assert got.bags == want.bags
+        assert got.edges == want.edges
+
+    def test_random_graphs(self):
+        rng = random.Random(2026)
+        for _ in range(2000):
+            self.assert_same(random_graph(rng, rng.randint(1, 30), rng.random()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 300])
+    def test_paths_and_cycles(self, n):
+        self.assert_same(path_graph(n))
+        if n >= 3:
+            self.assert_same(cycle_graph(n))
+
+    @pytest.mark.parametrize("spine,legs", [(1, 3), (10, 1), (75, 3), (100, 2)])
+    def test_caterpillars(self, spine, legs):
+        self.assert_same(caterpillar(spine, legs))
+
+    @pytest.mark.parametrize("k,n,keep", [(2, 40, 1.0), (3, 120, 0.7), (4, 300, 0.65),
+                                          (6, 150, 0.65), (7, 300, 1.0)])
+    def test_partial_ktrees(self, k, n, keep):
+        self.assert_same(partial_ktree(random.Random(k * n), k, n, keep))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(0, []),
+            Graph(1, [[]]),
+            Graph(12, [[] for _ in range(12)]),
+            complete_graph(1),
+            complete_graph(9),
+            Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (4, 5), (6, 7), (7, 8)]),
+            Graph.from_edges(11, [(1, 2), (2, 3), (3, 1), (5, 6), (6, 7), (7, 8),
+                                  (8, 5), (5, 7), (9, 10)]),
+        ],
+        ids=["empty", "single", "edgeless", "k1", "k9", "three-pieces", "with-isolated"],
+    )
+    def test_edgeless_complete_disconnected(self, graph):
+        self.assert_same(graph)
 
 
 class TestNicify:
@@ -176,6 +296,87 @@ class TestMaxPartsTw:
         g = path_graph(4)
         td = parse_td("s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n")
         assert max_parts_tw(g, nicify(td)) == 3
+
+
+class TestInvariants:
+    """The DP's key and table-size checks raise InvariantError, also under
+    ``python -O``."""
+
+    def test_representative_above_its_vertex(self):
+        with pytest.raises(InvariantError, match="exceeds"):
+            _check_key((0, 1), (1, 1))
+
+    def test_representative_not_its_own(self):
+        # 2's representative 1 is itself represented by 0.
+        with pytest.raises(InvariantError, match="not its own"):
+            _check_key((0, 1, 2), (0, 0, 1))
+
+    def test_valid_key_passes(self):
+        _check_key((0, 1, 2), (0, 1, 0))
+
+    def test_oversized_table(self, monkeypatch):
+        # A one-vertex bag admits at most 1^1 * 2^1 = 2 entries.
+        def corrupt(graph, child_bag, table, v):
+            return {((v,), (0,)): 1, ((v,), (1,)): 1, ((v,), (2,)): 1}
+
+        monkeypatch.setattr(treewidth, "transfer_introduce", corrupt)
+        g = Graph(1, [[]])
+        with pytest.raises(InvariantError, match="exceed the bound"):
+            max_parts_tw(g, nicify(heuristic_decomposition(g)))
+
+    def test_checks_run_under_optimize(self):
+        code = (
+            "from mmcut.graphs import InvariantError\n"
+            "from mmcut.treewidth import _check_key\n"
+            "try:\n"
+            "    _check_key((0,), (1,))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        # Import the package under test, wherever it was found.
+        env = {**os.environ,
+               "PYTHONPATH": str(pathlib.Path(treewidth.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "raised\n"
+
+
+class TestStats:
+    def test_table_entries_sum_over_nodes(self):
+        g = path_graph(5)
+        ntd = nicify(heuristic_decomposition(g))
+        seen = []
+
+        def record(name):
+            original = getattr(treewidth, name)
+
+            def wrapped(*args):
+                table = original(*args)
+                seen.append(len(table))
+                return table
+            return wrapped
+
+        stats = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("transfer_leaf", "transfer_introduce",
+                         "transfer_forget", "transfer_join"):
+                mp.setattr(treewidth, name, record(name))
+            assert max_parts_tw(g, ntd, stats_out=stats) == 3
+        assert len(seen) == len(ntd.nodes_postorder())
+        assert stats == {"table_entries": sum(seen)}
+
+    def test_empty_graph_counts_nothing(self):
+        stats = {}
+        g = Graph(0, [])
+        assert max_parts_tw(g, nicify(heuristic_decomposition(g)), stats) == 0
+        assert stats == {"table_entries": 0}
+
+    def test_rescored_on_a_path(self):
+        # Eliminating an end of a path adds no fill edge and updates only
+        # its one neighbour; the last elimination updates nothing.
+        stats = {}
+        heuristic_decomposition(path_graph(10), stats_out=stats)
+        assert stats == {"rescored": 10 - 1}
 
 
 class TestTransferForget:
