@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .cuts import Multicut, max_parts_of_cut, validate_multicut
-from .graphs import Graph
+from .graphs import Graph, InvariantError
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,8 @@ def multicut_from_degree_one(graph: Graph, ell: int) -> Multicut | None:
             saturated[w] = saturated[u] = True
             matching.append((min(w, u), max(w, u)))
     cut = max_parts_of_cut(graph, matching)
-    assert cut.p >= ell, "pendant matching fell short of the guaranteed parts"
+    if cut.p < ell:
+        raise InvariantError("pendant matching fell short of the guaranteed parts")
     return cut
 
 
@@ -119,12 +120,20 @@ def multicut_from_subdivided_edges(graph: Graph, ell: int) -> Multicut | None:
         matching.append((min(v, vp), max(v, vp)))
         selections += 1
     cut = max_parts_of_cut(graph, matching)
-    assert selections >= ell and cut.p >= ell, "subdivided-edge greedy fell short"
+    if selections < ell or cut.p < ell:
+        raise InvariantError("subdivided-edge greedy fell short")
     return cut
 
 
-def _strip_low_degree(adj: list[set[int]], alive: set[int]) -> None:
-    queue = [v for v in alive if len(adj[v]) <= 1]
+def _strip_low_degree(
+    adj: list[set[int]], alive: set[int], candidates: set[int]
+) -> set[int]:
+    """Delete vertices of degree <= 1 until none is left.  Only the
+    ``candidates`` and the vertices whose degree falls on the way are
+    examined, so the candidates must hold every alive vertex of degree
+    <= 1.  Returns the vertices whose degree fell."""
+    queue = [v for v in candidates if len(adj[v]) <= 1]
+    lowered: set[int] = set()
     while queue:
         v = queue.pop()
         if v not in alive:
@@ -135,8 +144,34 @@ def _strip_low_degree(adj: list[set[int]], alive: set[int]) -> None:
         for u in list(adj[v]):
             adj[u].discard(v)
             adj[v].discard(u)
+            lowered.add(u)
             if u in alive and len(adj[u]) <= 1:
                 queue.append(u)
+    return lowered
+
+
+def _seed_pure_cycles(adj: list[set[int]], starts: list[int] | set[int],
+                      low: list[int]) -> None:
+    """Raise ``low`` to the component's length on every component met from
+    ``starts`` that is a single cycle (no vertex of degree 3): a BFS from
+    any of its vertices finds that cycle or nothing."""
+    seen: set[int] = set()
+    for v in starts:
+        if v in seen or len(adj[v]) != 2:
+            continue
+        seen.add(v)
+        walk = [v]
+        prev, cur = v, next(iter(adj[v]))
+        # Walk one way round.  A vertex seen before lies in a component
+        # already found to hold a degree-3 vertex.
+        while cur != v and cur not in seen and len(adj[cur]) == 2:
+            seen.add(cur)
+            walk.append(cur)
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+        if cur == v:
+            for u in walk:
+                low[u] = max(low[u], len(walk))
 
 
 def _shortest_cycle_from(adj, start, cap):
@@ -203,6 +238,7 @@ def find_disjoint_cycles(graph: Graph) -> CyclePacking:
     # Deletions never create cycles, so a per-vertex lower bound on the
     # shortest cycle through it is monotone and can be cached across rounds.
     low = [3] * graph.n
+    _seed_pure_cycles(adj, order, low)
     while alive:
         best = None
         best_len = len(alive) + 1
@@ -220,12 +256,19 @@ def find_disjoint_cycles(graph: Graph) -> CyclePacking:
         if best is None:
             break
         cycles.append(tuple(sorted(best)))
+        # Only the cycle's neighbours lose degree, so they seed the strip,
+        # and only components holding a vertex whose degree fell can have
+        # become single cycles.
+        touched: set[int] = set()
         for v in best:
             alive.discard(v)
-            for u in list(adj[v]):
+            for u in adj[v]:
                 adj[u].discard(v)
+                touched.add(u)
             adj[v].clear()
-        _strip_low_degree(adj, alive)
+        touched.difference_update(best)
+        touched |= _strip_low_degree(adj, alive, touched)
+        _seed_pure_cycles(adj, touched & alive, low)
     packing = CyclePacking(tuple(cycles))
     if v3 >= 8:
         bound = v3 / (4 * math.log2(v3))
@@ -255,7 +298,7 @@ def close_cycle_sets(graph: Graph, packing: CyclePacking) -> list[frozenset[int]
     seen: set[int] = set()
     for cset in closed:
         if seen.intersection(cset):
-            raise AssertionError("cycle closures overlap; input not subcubic?")
+            raise InvariantError("cycle closures overlap; input not subcubic?")
         seen.update(cset)
     return [frozenset(c) for c in closed]
 
@@ -299,7 +342,8 @@ def multicut_from_cycles(
     if selections < ell:
         return None
     cut = max_parts_of_cut(graph, matching)
-    assert cut.p >= ell
+    if cut.p < ell:
+        raise InvariantError("cycle-boundary cut fell short of its selections")
     return cut
 
 
@@ -312,7 +356,7 @@ def strip_degree_one(graph: Graph) -> tuple[Graph, list[int]]:
     """
     adj = [set(a) for a in graph.adj]
     alive = set(range(graph.n))
-    _strip_low_degree(adj, alive)
+    _strip_low_degree(adj, alive, alive)
     return graph.induced(sorted(alive))
 
 
@@ -325,7 +369,7 @@ class KernelizeResult:
 def kernelize_subcubic(graph: Graph, ell: int) -> KernelizeResult:
     """Win-win pipeline: construct a witness via the pendant, subdivided-edge
     or cycle constructions, otherwise return the unchanged instance as the
-    kernel (asserting it is small relative to ell)."""
+    kernel (checking that it is small relative to ell)."""
     if ell < 1:
         raise ValueError("ell must be positive")
     _require_subcubic(graph)
@@ -342,11 +386,14 @@ def kernelize_subcubic(graph: Graph, ell: int) -> KernelizeResult:
             matching = [(ids[u], ids[v]) for u, v in cut.cut_edges]
             lifted = max_parts_of_cut(graph, matching)
             if lifted.p >= ell:
-                assert validate_multicut(graph, lifted.part_of, ell) is None
+                problem = validate_multicut(graph, lifted.part_of, ell)
+                if problem is not None:
+                    raise InvariantError(f"lifted witness is invalid: {problem}")
                 return KernelizeResult(lifted, None)
     if ell >= 2:
         bound = KERNEL_SIZE_FACTOR * ell * (math.log2(ell) ** 2)
-        assert graph.n < bound, "constructions must succeed on large instances"
+        if graph.n >= bound:
+            raise InvariantError("constructions must succeed on large instances")
     return KernelizeResult(None, (graph, ell))
 
 
@@ -368,5 +415,6 @@ def _component_construction(sub: Graph, target: int) -> Multicut | None:
         return None
     matching = [(core_ids[u], core_ids[v]) for u, v in core_cut.cut_edges]
     lifted = max_parts_of_cut(sub, matching)
-    assert lifted.p >= core_cut.p
+    if lifted.p < core_cut.p:
+        raise InvariantError("lifting the core's cut lost parts")
     return lifted

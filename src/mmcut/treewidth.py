@@ -10,6 +10,7 @@ the role of minus infinity.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .graphs import Graph, InvariantError, component_labels
@@ -372,72 +373,66 @@ def transfer_leaf() -> dict:
 def transfer_introduce(
     graph: Graph, child_bag: tuple[int, ...], table: dict, v: int
 ) -> dict:
-    """Place v into a new singleton part (+1) or into an existing bag part."""
-    bag = tuple(sorted(set(child_bag) | {v}))
-    vpos = bag.index(v)
-    out: dict = {}
+    """Place v into a new singleton part (+1) or into an existing bag part.
+
+    Works on the key tuples by position: v enters at its place in the
+    sorted bag, and only the child positions adjacent to v can gain a
+    realized crossing."""
+    vpos = bisect_left(child_bag, v)
+    bag = child_bag[:vpos] + (v,) + child_bag[vpos:]
     vadj = set(graph.adj[v])
+    near = [i for i, u in enumerate(child_bag) if u in vadj]
+    out: dict = {}
     for (creps, cext), value in table.items():
-        crep_of = dict(zip(child_bag, creps))
-        cext_of = dict(zip(child_bag, cext))
-        # Candidate targets: fresh singleton, or one of the child's parts.
-        targets = [None] + sorted(set(creps))
-        for target in targets:
-            if target is None:
-                rep = v
+        # Target v is the fresh singleton; otherwise a child part's root.
+        for target in (v, *sorted(set(creps))):
+            # Every bag edge from v to another part realizes now.
+            cross = [i for i in near if creps[i] != target]
+            if cross:
+                if len(cross) > 1 or cext[cross[0]]:
+                    continue
+                i = cross[0]
+                ext = cext[:i] + (1,) + cext[i + 1:]
+                ext = ext[:vpos] + (1,) + ext[vpos:]
             else:
-                rep = min(v, target)
-            new_rep_of = {
-                u: (rep if target is not None and crep_of[u] == target else crep_of[u])
-                for u in child_bag
-            }
-            new_rep_of[v] = rep
-            # Ext update: every bag edge at v realizes now.
-            ext_of = dict(cext_of)
-            vcross = 0
-            feasible = True
-            for u in child_bag:
-                if u in vadj and new_rep_of[u] != new_rep_of[v]:
-                    vcross += 1
-                    if vcross > 1 or ext_of[u] >= 1:
-                        feasible = False
-                        break
-                    ext_of[u] += 1
-            if not feasible:
-                continue
-            ext_of[v] = vcross
-            reps = tuple(new_rep_of[u] for u in bag)
-            ext = tuple(ext_of[u] for u in bag)
-            _check_key(bag, reps)
-            gain = 1 if target is None else 0
+                ext = cext[:vpos] + (0,) + cext[vpos:]
+            if target > v:
+                # v becomes the root of the part it joins.
+                reps = tuple(v if r == target else r for r in creps)
+                reps = reps[:vpos] + (v,) + reps[vpos:]
+            else:
+                reps = creps[:vpos] + (target,) + creps[vpos:]
             key = (reps, ext)
-            cand = value + gain
+            cand = value + 1 if target == v else value
             if out.get(key, -1) < cand:
                 out[key] = cand
+    # The check reads only the partition, so each stored one is checked once.
+    for reps in {reps for reps, _ext in out}:
+        _check_key(bag, reps)
     return out
 
 
 def transfer_forget(child_bag: tuple[int, ...], table: dict, v: int) -> dict:
     """Project out v, re-rooting its part to the minimum remaining member
-    and maximizing over v's own Ext bit."""
-    bag = tuple(u for u in child_bag if u != v)
+    and maximizing over v's own Ext bit.
+
+    A root is the smallest member of its part, so when v is not its own
+    root the key is the child's minus v's position; otherwise the new root
+    is the first bag vertex still holding v, the smallest survivor."""
+    vpos = child_bag.index(v)
+    bag = child_bag[:vpos] + child_bag[vpos + 1:]
     out: dict = {}
     for (creps, cext), value in table.items():
-        crep_of = dict(zip(child_bag, creps))
-        vrep = crep_of[v]
-        survivors = [u for u in bag if crep_of[u] == vrep]
-        if survivors:
-            new_root = min(survivors)
-        else:
-            new_root = None  # the part closes below this node
-        reps = tuple(
-            (new_root if crep_of[u] == vrep else crep_of[u]) for u in bag
-        )
-        ext = tuple(e for u, e in zip(child_bag, cext) if u != v)
-        _check_key(bag, reps)
-        key = (reps, ext)
+        reps = creps[:vpos] + creps[vpos + 1:]
+        if creps[vpos] == v and v in reps:
+            root = bag[reps.index(v)]
+            reps = tuple(root if r == v else r for r in reps)
+        key = (reps, cext[:vpos] + cext[vpos + 1:])
         if out.get(key, -1) < value:
             out[key] = value
+    # The check reads only the partition, so each stored one is checked once.
+    for reps in {reps for reps, _ext in out}:
+        _check_key(bag, reps)
     return out
 
 

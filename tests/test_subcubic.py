@@ -1,11 +1,18 @@
 """Constructive multicuts for subcubic graphs and the win-win kernel."""
 
+import dataclasses
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from mmcut.graphs import Graph, complete_graph, cycle_graph, path_graph
+from mmcut import subcubic
+from mmcut.cuts import ViolationReport, max_parts_of_cut
+from mmcut.graphs import Graph, InvariantError, complete_graph, cycle_graph, path_graph
 from mmcut.oracle import max_parts
 from mmcut.subcubic import (
     CyclePacking,
@@ -253,3 +260,268 @@ class TestKernelize:
                 if res.solved is not None:
                     assert res.solved.p >= ell
                     assert max_parts(g) >= ell
+
+
+def reference_strip_low_degree(adj: list[set[int]], alive: set[int]) -> None:
+    queue = [v for v in alive if len(adj[v]) <= 1]
+    while queue:
+        v = queue.pop()
+        if v not in alive:
+            continue
+        if len(adj[v]) > 1:
+            continue
+        alive.discard(v)
+        for u in list(adj[v]):
+            adj[u].discard(v)
+            adj[v].discard(u)
+            if u in alive and len(adj[u]) <= 1:
+                queue.append(u)
+
+
+def reference_find_disjoint_cycles(graph: Graph) -> CyclePacking:
+    """The greedy as it was before pure-cycle components were seeded, kept
+    as the reference for the packing."""
+    if graph.min_degree < 2:
+        raise ValueError("cycle packing requires minimum degree 2")
+    adj = [set(a) for a in graph.adj]
+    alive = set(range(graph.n))
+    order = list(range(graph.n))
+    cycles: list[tuple[int, ...]] = []
+    low = [3] * graph.n
+    while alive:
+        best = None
+        best_len = len(alive) + 1
+        for v in order:
+            if v not in alive or low[v] >= best_len:
+                continue
+            found = subcubic._shortest_cycle_from(adj, v, best_len - 1)
+            if found is None:
+                low[v] = best_len
+                continue
+            if len(found) < best_len:
+                best, best_len = found, len(found)
+                if best_len == 3:
+                    break
+        if best is None:
+            break
+        cycles.append(tuple(sorted(best)))
+        for v in best:
+            alive.discard(v)
+            for u in list(adj[v]):
+                adj[u].discard(v)
+            adj[v].clear()
+        reference_strip_low_degree(adj, alive)
+    return CyclePacking(tuple(cycles))
+
+
+def relabel(rng: random.Random, n: int, edges) -> Graph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def disjoint_union(parts) -> tuple[int, list]:
+    n, edges = 0, []
+    for size, part_edges in parts:
+        edges += [(a + n, b + n) for a, b in part_edges]
+        n += size
+    return n, edges
+
+
+def cycle_edges(n: int) -> tuple[int, list]:
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+def theta_edges(lengths) -> tuple[int, list]:
+    """Two degree-3 vertices 0 and 1 joined by paths with the given numbers
+    of inner vertices (at most one of them 0)."""
+    n, edges = 2, []
+    for inner in lengths:
+        prev = 0
+        for _ in range(inner):
+            edges.append((prev, n))
+            prev = n
+            n += 1
+        edges.append((prev, 1))
+    return n, edges
+
+
+def random_cubic_edges(rng: random.Random, n: int) -> tuple[int, list]:
+    """Simple cubic graph by the pairing model with restarts."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = set()
+        for a, b in zip(points[::2], points[1::2]):
+            e = (min(a, b), max(a, b))
+            if a == b or e in edges:
+                break
+            edges.add(e)
+        else:
+            return n, sorted(edges)
+
+
+def triangle_replaced(n: int, edges) -> tuple[int, list]:
+    """Each vertex of a cubic graph replaced by a triangle."""
+    out = [e for v in range(n)
+           for e in ((3 * v, 3 * v + 1), (3 * v + 1, 3 * v + 2), (3 * v, 3 * v + 2))]
+    slots = [0] * n
+    for a, b in edges:
+        out.append((3 * a + slots[a], 3 * b + slots[b]))
+        slots[a] += 1
+        slots[b] += 1
+    return 3 * n, out
+
+
+def subdivided(rng: random.Random, n: int, edges, most: int) -> tuple[int, list]:
+    """Each edge replaced by a path with 0..most inner vertices."""
+    out = []
+    for a, b in edges:
+        prev = a
+        for _ in range(rng.randint(0, most)):
+            out.append((prev, n))
+            prev = n
+            n += 1
+        out.append((prev, b))
+    return n, out
+
+
+class TestPackingMatchesReference:
+    """Seeding pure-cycle components and the strip queue leaves the greedy's
+    packing unchanged."""
+
+    @staticmethod
+    def assert_same(graph):
+        assert find_disjoint_cycles(graph) == reference_find_disjoint_cycles(graph)
+
+    def test_unions_of_cycles(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            parts = [cycle_edges(rng.randint(3, 40)) for _ in range(rng.randint(1, 6))]
+            self.assert_same(relabel(rng, *disjoint_union(parts)))
+
+    def test_theta_graphs(self):
+        rng = random.Random(42)
+        for _ in range(60):
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                lengths = [rng.randint(1, 12) for _ in range(3)]
+                lengths[rng.randrange(3)] = rng.randint(0, 12)
+                parts.append(theta_edges(lengths))
+            if rng.random() < 0.5:
+                parts.append(cycle_edges(rng.randint(3, 30)))
+            self.assert_same(relabel(rng, *disjoint_union(parts)))
+
+    def test_cubic_graphs(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            self.assert_same(Graph.from_edges(*random_cubic_edges(rng, 2 * rng.randint(2, 30))))
+
+    def test_triangle_replaced_graphs(self):
+        rng = random.Random(44)
+        for _ in range(20):
+            n, edges = random_cubic_edges(rng, 2 * rng.randint(2, 10))
+            self.assert_same(Graph.from_edges(*triangle_replaced(n, edges)))
+            self.assert_same(relabel(rng, *triangle_replaced(n, edges)))
+
+    def test_subdivided_cubic_graphs(self):
+        # Long degree-2 chains that close into pure cycles once cycles
+        # elsewhere are deleted.
+        rng = random.Random(45)
+        for _ in range(40):
+            n, edges = random_cubic_edges(rng, 2 * rng.randint(2, 12))
+            self.assert_same(relabel(rng, *subdivided(rng, n, edges, 6)))
+
+    def test_one_bfs_per_cycle_component(self, monkeypatch):
+        calls = []
+        original = subcubic._shortest_cycle_from
+
+        def counted(adj, start, cap):
+            calls.append(start)
+            return original(adj, start, cap)
+
+        monkeypatch.setattr(subcubic, "_shortest_cycle_from", counted)
+        packing = find_disjoint_cycles(cycle_graph(1000))
+        assert len(packing.cycles) == 1 and len(calls) == 1
+        calls.clear()
+        n, edges = disjoint_union([cycle_edges(k) for k in (50, 7, 30, 7, 200)])
+        packing = find_disjoint_cycles(relabel(random.Random(46), n, edges))
+        assert sorted(map(len, packing.cycles)) == [7, 7, 30, 50, 200]
+        # Each round searches only from components shorter than its best
+        # so far, at most one BFS per remaining component.
+        assert len(calls) <= 5 + 4 + 3 + 2 + 1
+
+
+def uncut(graph, edges):
+    """Drop the construction's matching: one part per component."""
+    return max_parts_of_cut(graph, [])
+
+
+class TestInvariants:
+    """The constructions' guarantees are checked explicitly and raise
+    InvariantError, also under ``python -O``."""
+
+    def test_pendant_matching_short(self, monkeypatch):
+        monkeypatch.setattr(subcubic, "max_parts_of_cut", uncut)
+        with pytest.raises(InvariantError, match="pendant matching"):
+            multicut_from_degree_one(caterpillar(9, 1), 3)
+
+    def test_subdivided_edges_short(self, monkeypatch):
+        monkeypatch.setattr(subcubic, "max_parts_of_cut", uncut)
+        with pytest.raises(InvariantError, match="subdivided-edge"):
+            multicut_from_subdivided_edges(path_graph(84), 4)
+
+    def test_cycle_boundaries_short(self, monkeypatch):
+        g = ladder(30)
+        packing = find_disjoint_cycles(g)
+        monkeypatch.setattr(subcubic, "max_parts_of_cut", uncut)
+        with pytest.raises(InvariantError, match="cycle-boundary"):
+            multicut_from_cycles(g, packing, 2)
+
+    def test_closures_overlap(self):
+        # Vertex 6 has two neighbours on each triangle, which only a
+        # graph above maximum degree 3 allows.
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                 (6, 0), (6, 1), (6, 3), (6, 4)])
+        with pytest.raises(InvariantError, match="overlap"):
+            close_cycle_sets(g, CyclePacking(((0, 1, 2), (3, 4, 5))))
+
+    def test_lifted_witness_invalid(self, monkeypatch):
+        monkeypatch.setattr(subcubic, "validate_multicut",
+                            lambda graph, part_of, ell: ViolationReport("too-few-parts", ()))
+        with pytest.raises(InvariantError, match="lifted witness"):
+            kernelize_subcubic(path_graph(100), 4)
+
+    def test_kernel_too_large(self, monkeypatch):
+        monkeypatch.setattr(subcubic, "KERNEL_SIZE_FACTOR", 1)
+        with pytest.raises(InvariantError, match="constructions must succeed"):
+            kernelize_subcubic(complete_graph(4), 2)
+
+    def test_core_lift_loses_parts(self, monkeypatch):
+        original = subcubic.multicut_from_cycles
+
+        def inflated(graph, packing, ell):
+            cut = original(graph, packing, ell)
+            return None if cut is None else dataclasses.replace(cut, p=cut.p + 1)
+
+        monkeypatch.setattr(subcubic, "multicut_from_cycles", inflated)
+        with pytest.raises(InvariantError, match="lost parts"):
+            kernelize_subcubic(ladder(30), 2)
+
+    def test_checks_run_under_optimize(self):
+        code = (
+            "from mmcut.graphs import Graph, InvariantError\n"
+            "from mmcut.subcubic import CyclePacking, close_cycle_sets\n"
+            "g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),\n"
+            "                         (6, 0), (6, 1), (6, 3), (6, 4)])\n"
+            "try:\n"
+            "    close_cycle_sets(g, CyclePacking(((0, 1, 2), (3, 4, 5))))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        # Import the package under test, wherever it was found.
+        env = {**os.environ,
+               "PYTHONPATH": str(pathlib.Path(subcubic.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "raised\n"

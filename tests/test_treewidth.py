@@ -14,11 +14,13 @@ from mmcut.oracle import max_parts
 from mmcut.treewidth import (
     TreeDecomposition,
     TreeDecompositionError,
+    _bag_cross_counts,
     _check_key,
     heuristic_decomposition,
     max_parts_tw,
     nicify,
     parse_td,
+    transfer_forget,
     transfer_introduce,
     transfer_join,
     transfer_leaf,
@@ -200,6 +202,192 @@ class TestMinFillMatchesReference:
     )
     def test_edgeless_complete_disconnected(self, graph):
         self.assert_same(graph)
+
+
+def reference_introduce(
+    graph: Graph, child_bag: tuple[int, ...], table: dict, v: int
+) -> dict:
+    """Place v into a new singleton part (+1) or into an existing bag part."""
+    bag = tuple(sorted(set(child_bag) | {v}))
+    vpos = bag.index(v)
+    out: dict = {}
+    vadj = set(graph.adj[v])
+    for (creps, cext), value in table.items():
+        crep_of = dict(zip(child_bag, creps))
+        cext_of = dict(zip(child_bag, cext))
+        # Candidate targets: fresh singleton, or one of the child's parts.
+        targets = [None] + sorted(set(creps))
+        for target in targets:
+            if target is None:
+                rep = v
+            else:
+                rep = min(v, target)
+            new_rep_of = {
+                u: (rep if target is not None and crep_of[u] == target else crep_of[u])
+                for u in child_bag
+            }
+            new_rep_of[v] = rep
+            # Ext update: every bag edge at v realizes now.
+            ext_of = dict(cext_of)
+            vcross = 0
+            feasible = True
+            for u in child_bag:
+                if u in vadj and new_rep_of[u] != new_rep_of[v]:
+                    vcross += 1
+                    if vcross > 1 or ext_of[u] >= 1:
+                        feasible = False
+                        break
+                    ext_of[u] += 1
+            if not feasible:
+                continue
+            ext_of[v] = vcross
+            reps = tuple(new_rep_of[u] for u in bag)
+            ext = tuple(ext_of[u] for u in bag)
+            _check_key(bag, reps)
+            gain = 1 if target is None else 0
+            key = (reps, ext)
+            cand = value + gain
+            if out.get(key, -1) < cand:
+                out[key] = cand
+    return out
+
+
+def reference_forget(child_bag: tuple[int, ...], table: dict, v: int) -> dict:
+    """Project out v, re-rooting its part to the minimum remaining member
+    and maximizing over v's own Ext bit."""
+    bag = tuple(u for u in child_bag if u != v)
+    out: dict = {}
+    for (creps, cext), value in table.items():
+        crep_of = dict(zip(child_bag, creps))
+        vrep = crep_of[v]
+        survivors = [u for u in bag if crep_of[u] == vrep]
+        if survivors:
+            new_root = min(survivors)
+        else:
+            new_root = None  # the part closes below this node
+        reps = tuple(
+            (new_root if crep_of[u] == vrep else crep_of[u]) for u in bag
+        )
+        ext = tuple(e for u, e in zip(child_bag, cext) if u != v)
+        _check_key(bag, reps)
+        key = (reps, ext)
+        if out.get(key, -1) < value:
+            out[key] = value
+    return out
+
+
+def reference_join(graph: Graph, bag: tuple[int, ...], left: dict, right: dict) -> dict:
+    """Combine children sharing the bag; overlap parts are counted twice so
+    the number of distinct representatives is subtracted."""
+    by_p_left: dict[tuple, list] = {}
+    for (reps, ext), value in left.items():
+        by_p_left.setdefault(reps, []).append((ext, value))
+    by_p_right: dict[tuple, list] = {}
+    for (reps, ext), value in right.items():
+        by_p_right.setdefault(reps, []).append((ext, value))
+    out: dict = {}
+    for reps, lefts in by_p_left.items():
+        rights = by_p_right.get(reps)
+        if rights is None:
+            continue
+        counts = _bag_cross_counts(graph, bag, reps)
+        if counts is None:
+            continue
+        x = len(set(reps))
+        for ext1, v1 in lefts:
+            for ext2, v2 in rights:
+                ext = []
+                ok = True
+                for idx in range(len(bag)):
+                    b = counts[idx]
+                    e1, e2 = ext1[idx], ext2[idx]
+                    if b == 1:
+                        # The crossing is visible on both sides.
+                        if e1 != 1 or e2 != 1:
+                            ok = False
+                            break
+                        ext.append(1)
+                    else:
+                        hidden = e1 + e2
+                        if hidden > 1:
+                            ok = False
+                            break
+                        ext.append(hidden)
+                if not ok:
+                    continue
+                key = (reps, tuple(ext))
+                cand = v1 + v2 - x
+                if out.get(key, -1) < cand:
+                    out[key] = cand
+    return out
+
+
+def triangle_replaced_cubic(h_n: int) -> Graph:
+    """Cubic circulant (cycle plus antipodal chords, h_n even) with every
+    vertex replaced by a triangle."""
+    host = [(i, (i + 1) % h_n) for i in range(h_n)]
+    host += [(i, i + h_n // 2) for i in range(h_n // 2)]
+    slots = [0] * h_n
+    edges = []
+    for v in range(h_n):
+        edges += [(3 * v, 3 * v + 1), (3 * v + 1, 3 * v + 2), (3 * v, 3 * v + 2)]
+    for a, b in host:
+        edges.append((3 * a + slots[a], 3 * b + slots[b]))
+        slots[a] += 1
+        slots[b] += 1
+    return Graph.from_edges(3 * h_n, edges)
+
+
+class TestTransfersMatchReference:
+    """The positional transfers build the same table, key for key and value
+    for value, as the dict-based ones kept above, at every node."""
+
+    @staticmethod
+    def assert_same_tables(graph):
+        ntd = nicify(heuristic_decomposition(graph))
+        got: dict = {}
+        want: dict = {}
+        for node in ntd.nodes_postorder():
+            kids = [id(c) for c in node.children]
+            if node.kind == "leaf":
+                new, ref = transfer_leaf(), transfer_leaf()
+            elif node.kind == "introduce":
+                child = node.children[0]
+                new = transfer_introduce(graph, child.bag, got.pop(kids[0]), node.vertex)
+                ref = reference_introduce(graph, child.bag, want.pop(kids[0]), node.vertex)
+            elif node.kind == "forget":
+                child = node.children[0]
+                new = transfer_forget(child.bag, got.pop(kids[0]), node.vertex)
+                ref = reference_forget(child.bag, want.pop(kids[0]), node.vertex)
+            else:
+                new = transfer_join(graph, node.bag, got.pop(kids[0]), got.pop(kids[1]))
+                ref = reference_join(graph, node.bag, want.pop(kids[0]), want.pop(kids[1]))
+            assert new == ref, f"{node.kind} node with bag {node.bag}"
+            got[id(node)], want[id(node)] = new, ref
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_paths_and_cycles(self, n):
+        self.assert_same_tables(path_graph(n))
+        if n >= 3:
+            self.assert_same_tables(cycle_graph(n))
+
+    @pytest.mark.parametrize("spine,legs", [(6, 3), (12, 2)])
+    def test_caterpillars(self, spine, legs):
+        self.assert_same_tables(caterpillar(spine, legs))
+
+    @pytest.mark.parametrize("k,n,keep", [(1, 40, 1.0), (2, 40, 0.8), (3, 40, 0.65),
+                                          (4, 40, 0.65), (4, 20, 1.0)])
+    def test_partial_ktrees(self, k, n, keep):
+        self.assert_same_tables(partial_ktree(random.Random(k * n), k, n, keep))
+
+    def test_random_graphs(self):
+        rng = random.Random(808)
+        for _ in range(300):
+            self.assert_same_tables(
+                random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.5)))
+
+    def test_triangle_replaced_cubic(self):
+        self.assert_same_tables(triangle_replaced_cubic(10))
 
 
 class TestNicify:
