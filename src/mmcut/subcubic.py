@@ -127,13 +127,12 @@ def multicut_from_subdivided_edges(graph: Graph, ell: int) -> Multicut | None:
 
 def _strip_low_degree(
     adj: list[set[int]], alive: set[int], candidates: set[int]
-) -> set[int]:
+) -> None:
     """Delete vertices of degree <= 1 until none is left.  Only the
     ``candidates`` and the vertices whose degree falls on the way are
     examined, so the candidates must hold every alive vertex of degree
-    <= 1.  Returns the vertices whose degree fell."""
+    <= 1."""
     queue = [v for v in candidates if len(adj[v]) <= 1]
-    lowered: set[int] = set()
     while queue:
         v = queue.pop()
         if v not in alive:
@@ -144,19 +143,16 @@ def _strip_low_degree(
         for u in list(adj[v]):
             adj[u].discard(v)
             adj[v].discard(u)
-            lowered.add(u)
             if u in alive and len(adj[u]) <= 1:
                 queue.append(u)
-    return lowered
 
 
-def _seed_pure_cycles(adj: list[set[int]], starts: list[int] | set[int],
-                      low: list[int]) -> None:
-    """Raise ``low`` to the component's length on every component met from
-    ``starts`` that is a single cycle (no vertex of degree 3): a BFS from
-    any of its vertices finds that cycle or nothing."""
+def _seed_pure_cycles(adj: list[set[int]], low: list[int]) -> None:
+    """Raise ``low`` to the component's length on every component that is a
+    single cycle (no vertex of degree 3): a BFS from any of its vertices
+    finds that cycle or nothing."""
     seen: set[int] = set()
-    for v in starts:
+    for v in range(len(adj)):
         if v in seen or len(adj[v]) != 2:
             continue
         seen.add(v)
@@ -238,7 +234,7 @@ def find_disjoint_cycles(graph: Graph) -> CyclePacking:
     # Deletions never create cycles, so a per-vertex lower bound on the
     # shortest cycle through it is monotone and can be cached across rounds.
     low = [3] * graph.n
-    _seed_pure_cycles(adj, order, low)
+    _seed_pure_cycles(adj, low)
     while alive:
         best = None
         best_len = len(alive) + 1
@@ -256,9 +252,7 @@ def find_disjoint_cycles(graph: Graph) -> CyclePacking:
         if best is None:
             break
         cycles.append(tuple(sorted(best)))
-        # Only the cycle's neighbours lose degree, so they seed the strip,
-        # and only components holding a vertex whose degree fell can have
-        # become single cycles.
+        # Only the cycle's neighbours lose degree, so they seed the strip.
         touched: set[int] = set()
         for v in best:
             alive.discard(v)
@@ -267,8 +261,7 @@ def find_disjoint_cycles(graph: Graph) -> CyclePacking:
                 touched.add(u)
             adj[v].clear()
         touched.difference_update(best)
-        touched |= _strip_low_degree(adj, alive, touched)
-        _seed_pure_cycles(adj, touched & alive, low)
+        _strip_low_degree(adj, alive, touched)
     packing = CyclePacking(tuple(cycles))
     if v3 >= 8:
         bound = v3 / (4 * math.log2(v3))

