@@ -657,11 +657,14 @@ class _LiftParts:
 
 
 def lift_cluster(
-    inst: ClusterInstance, cut: frozenset[Edge], ell: int
+    inst: ClusterInstance, cut: frozenset[Edge], ell: int,
+    stats_out: dict | None = None,
 ) -> Iterator[Multicut]:
     """Stage 5: replay the journal of erased structures in order, branching
     over each one's locally feasible cut modes, and emit the canonical
-    multicuts of the original graph that reach the target part count."""
+    multicuts of the original graph that reach the target part count.
+    Leaves whose cut is not exact are dropped and, when ``stats_out`` is
+    given, counted in ``stats_out["dead_leaves"]``."""
     graph = inst.graph
     base_count, part_of = component_labels(graph.adj, cut, _lift_vertices(inst))
     uf = _LiftParts(base_count)
@@ -783,6 +786,9 @@ def lift_cluster(
     for final in rec(0):
         out = max_parts_of_cut(graph, final)
         if out.cut_edges != final:
+            # Uncut structures joined the endpoints of a cut edge.
+            if stats_out is not None:
+                stats_out["dead_leaves"] += 1
             continue
         if out.p >= ell:
             yield out
@@ -801,11 +807,17 @@ def _lift_part_potential(inst: ClusterInstance) -> int:
     return out
 
 
-def enumerate_cluster(graph: Graph, modulator, ell: int) -> Iterator[Multicut]:
+def enumerate_cluster(
+    graph: Graph, modulator, ell: int, stats_out: dict | None = None
+) -> Iterator[Multicut]:
     """All canonical matching multicuts of the graph with at least ``ell``
-    parts, each exactly once, via the five-stage pipeline."""
+    parts, each exactly once, via the five-stage pipeline.
+    ``stats_out["dead_leaves"]`` receives the number of stage-5 leaves
+    discarded because a cut edge's endpoints stayed connected."""
     if ell < 1:
         raise ValueError("ell must be positive")
+    if stats_out is not None:
+        stats_out["dead_leaves"] = 0
     if ell > graph.n:
         return
     inst = reduce_cluster_instance(graph, modulator)
@@ -813,4 +825,4 @@ def enumerate_cluster(graph: Graph, modulator, ell: int) -> Iterator[Multicut]:
     for core_cut in enumerate_core(inst):
         for packed in extend_with_matching_clusters(inst, core_cut):
             for staged in extend_with_pendant_clusters(inst, packed, ell, extra):
-                yield from lift_cluster(inst, staged, ell)
+                yield from lift_cluster(inst, staged, ell, stats_out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cuts import Edge, Multicut, max_parts_of_cut
-from .graphs import Graph
+from .graphs import Graph, InvariantError
 from .modulators import Modulator, cocluster_classes
 from .oracle import enumerate_all_multicuts
 
@@ -75,7 +75,8 @@ def compress_vc(graph: Graph, cover: Modulator | frozenset[int]) -> VcKernel:
         pendant_groups, retained,
     )
     k = len(x_set)
-    assert hgraph.n <= 2 * k + 3 * (k * (k - 1) // 2), "kernel size bound violated"
+    if hgraph.n > 2 * k + 3 * (k * (k - 1) // 2):
+        raise InvariantError("kernel size bound violated")
     return kern
 
 
@@ -92,30 +93,56 @@ def lift_vc(
 ) -> Iterator[Multicut]:
     """Stream the equivalence class of one kernel solution in the original
     graph: every way of re-choosing the cut pendant edge per group, in
-    odometer order.  Emitted cuts are validated and canonicalized."""
-    base: set[Edge] = set()
-    groups: list[tuple[Edge, ...]] = []
+    odometer order.
+
+    The first combo, each group's first pendant edge, is validated and
+    canonicalized by ``max_parts_of_cut``.  A pendant has degree 1 and its
+    only neighbour is the group's host, so re-choosing a group's cut edge
+    only moves pendants between the host's part and a singleton part: the
+    later combos are labelled from a template of the first one, with the
+    same part count."""
     # Translate kernel edges to original ids first.
     translated = {
         (min(kern.to_g[u], kern.to_g[v]), max(kern.to_g[u], kern.to_g[v]))
         for u, v in kernel_cut
     }
     retained_edges = {edge: x for x, edge in kern.retained.items()}
+    fixed: set[Edge] = set()
+    swaps: list[tuple[int, tuple[Edge, ...]]] = []  # (host, group) per swappable group
     for edge in sorted(translated):
         x = retained_edges.get(edge)
-        if x is not None:
-            groups.append(kern.pendant_groups[x])
+        group = kern.pendant_groups[x] if x is not None else ()
+        if len(group) > 1:
+            swaps.append((x, group))
         else:
-            base.add(edge)
-    expected_parts = None
-    for combo in itertools.product(*groups):
-        cut_edges = base.union(combo)
-        cut = max_parts_of_cut(graph, cut_edges)
-        assert cut.cut_edges == frozenset(cut_edges), "lifted cut must be exact"
-        if expected_parts is None:
-            expected_parts = cut.p
-        assert cut.p == expected_parts, "pendant swaps preserve part counts"
-        yield cut
+            fixed.add(edge)
+    cut_edges = fixed.union([group[0] for _x, group in swaps])
+    first = max_parts_of_cut(graph, cut_edges)
+    if first.cut_edges != cut_edges:
+        raise InvariantError("lifted cut must be exact")
+    yield first
+    if not swaps:
+        return
+    # Every pendant of a swappable group placed in its host's part; the
+    # first combo's cut pendants were singletons, one part per group.
+    template = list(first.part_of)
+    options = []
+    for x, group in swaps:
+        for u, v in group:
+            template[u + v - x] = template[x]
+        options.append([(edge, edge[0] + edge[1] - x) for edge in group])
+    if len(set(template)) + len(swaps) != first.p:
+        raise InvariantError("pendant swaps must preserve the part count")
+    combos = itertools.product(*options)
+    next(combos)  # the first combo, already emitted
+    for combo in combos:
+        labels = template.copy()
+        for fresh, (_edge, y) in enumerate(combo, start=first.p):
+            labels[y] = fresh
+        # Renumbering by first appearance numbers parts by smallest vertex.
+        rank = {a: i for i, a in enumerate(dict.fromkeys(labels))}
+        part_of = tuple(map(rank.__getitem__, labels))
+        yield Multicut(part_of, first.p, frozenset(fixed.union([e for e, _y in combo])))
 
 
 @dataclass(frozen=True)
@@ -196,8 +223,8 @@ def compress_cocluster(
         hgraph, to_g = _reduce_many_classes(graph, s_set, classes)
         if hgraph.n > 2 * k:
             hgraph, to_g = _compact_from_reduced(hgraph, to_g, s_set)
-        if k >= 3:
-            assert hgraph.n <= 2 * k, "case A kernel bound violated"
+        if k >= 3 and hgraph.n > 2 * k:
+            raise InvariantError("case A kernel bound violated")
         return CoclusterReduced(hgraph, to_g, ell)
 
     sizes = sorted(len(c) for c in classes)
@@ -205,8 +232,8 @@ def compress_cocluster(
         hgraph, to_g = _reduce_two_classes(graph, s_set, classes)
         if hgraph.n > 2 * k + 2:
             hgraph, to_g = _compact_from_reduced(hgraph, to_g, s_set)
-        if k >= 3:
-            assert hgraph.n <= 2 * k + 2, "case B kernel bound violated"
+        if k >= 3 and hgraph.n > 2 * k + 2:
+            raise InvariantError("case B kernel bound violated")
         return CoclusterReduced(hgraph, to_g, ell)
 
     cover = set(s_set)
@@ -373,16 +400,16 @@ def enumerate_via_kernel(
             return
         for h_cut in _h_solution_edge_sets(result.graph):
             translated = set()
-            ok = True
             for u, v in h_cut:
                 gu, gv = result.to_g[u], result.to_g[v]
                 if gu == -1 or gv == -1 or not graph.has_edge(gu, gv):
-                    ok = False
-                    break
+                    raise InvariantError(
+                        "reduced-instance solutions only use original edges"
+                    )
                 translated.add((min(gu, gv), max(gu, gv)))
-            assert ok, "reduced-instance solutions only use original edges"
             cut = max_parts_of_cut(graph, translated)
-            assert cut.cut_edges == frozenset(translated)
+            if cut.cut_edges != translated:
+                raise InvariantError("translated cut must be exact")
             if cut.p >= ell:
                 yield cut
     else:

@@ -221,6 +221,19 @@ class TestEndToEnd:
                 got = [c.cut_edges for c in enumerate_cluster(g, mod, ell)]
                 assert len(got) == len(set(got)) and set(got) == want
 
+    def test_inexact_leaves_are_dropped_and_counted(self):
+        # Two stage-5 leaves cut an edge whose endpoints an uncut erased
+        # structure joins again; the final check drops both.
+        g = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)])
+        stats = {}
+        got = [c.cut_edges for c in enumerate_cluster(g, frozenset({0, 1, 3}), 1,
+                                                      stats_out=stats)]
+        assert stats == {"dead_leaves": 2}
+        assert len(got) == len(set(got)) and set(got) == oracle_solution_set(g, 1)
+        stats = {}
+        list(enumerate_cluster(g, frozenset({0, 1, 3}), 9, stats_out=stats))
+        assert stats == {"dead_leaves": 0}
+
     def test_large_instance_streams(self):
         # Far beyond oracle reach: check stream validity and uniqueness of a
         # prefix only.

@@ -1,8 +1,17 @@
 """Enumeration kernels: vertex cover compressor/lifting and the co-cluster
 case analysis."""
 
+import dataclasses
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+from mmcut import enum_kernels
+from mmcut.cuts import Edge, max_parts_of_cut
 from mmcut.enum_kernels import (
     CoclusterDelegate,
     CoclusterReduced,
@@ -11,7 +20,7 @@ from mmcut.enum_kernels import (
     enumerate_via_kernel,
     lift_vc,
 )
-from mmcut.graphs import Graph, complete_graph, path_graph
+from mmcut.graphs import Graph, InvariantError, complete_graph, path_graph
 from mmcut.modulators import (
     Modulator,
     approx_cocluster_modulator,
@@ -116,6 +125,137 @@ class TestLiftVc:
         )
         lifted = list(lift_vc(g, kern, cut_edges))
         assert len(lifted) == 6
+
+
+def per_member_lift_vc(graph, kern, kernel_cut):
+    """The lifting as first written: ``max_parts_of_cut`` on every member
+    of the class.  Kept verbatim as the reference for ``lift_vc``."""
+    base: set[Edge] = set()
+    groups: list[tuple[Edge, ...]] = []
+    # Translate kernel edges to original ids first.
+    translated = {
+        (min(kern.to_g[u], kern.to_g[v]), max(kern.to_g[u], kern.to_g[v]))
+        for u, v in kernel_cut
+    }
+    retained_edges = {edge: x for x, edge in kern.retained.items()}
+    for edge in sorted(translated):
+        x = retained_edges.get(edge)
+        if x is not None:
+            groups.append(kern.pendant_groups[x])
+        else:
+            base.add(edge)
+    expected_parts = None
+    for combo in itertools.product(*groups):
+        cut_edges = base.union(combo)
+        cut = max_parts_of_cut(graph, cut_edges)
+        assert cut.cut_edges == frozenset(cut_edges), "lifted cut must be exact"
+        if expected_parts is None:
+            expected_parts = cut.p
+        assert cut.p == expected_parts, "pendant swaps preserve part counts"
+        yield cut
+
+
+def pendant_graph(rng) -> tuple[Graph, frozenset[int]]:
+    """A sparse random core, pendant groups of 1-4 leaves on up to three
+    hosts and at most one K2 component, with a vertex cover: the core plus
+    one end of the K2, whose group is then that K2's edge.  Vertex ids
+    are shuffled, so pendants may be smaller than their host."""
+    n = rng.randint(1, 5)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    nxt = n
+    for host in rng.sample(range(n), rng.randint(0, min(n, 3))):
+        for _ in range(rng.randint(1, 4)):
+            edges.append((host, nxt))
+            nxt += 1
+    cover = set(range(n))
+    for _ in range(rng.randint(0, 1)):
+        edges.append((nxt, nxt + 1))
+        cover.add(nxt + rng.randint(0, 1))
+        nxt += 2
+    ids = list(range(nxt))
+    rng.shuffle(ids)
+    return (Graph.from_edges(nxt, [(ids[u], ids[v]) for u, v in edges]),
+            frozenset(ids[v] for v in cover))
+
+
+def caterpillar(spine: int, legs: int) -> Graph:
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for i in range(spine):
+        for _ in range(legs):
+            edges.append((i, nxt))
+            nxt += 1
+    return Graph.from_edges(nxt, edges)
+
+
+class TestLiftVcEquivalence:
+    """``lift_vc`` canonicalizes each class once and labels the other
+    members from a template; every stream must match the per-member
+    lifting exactly, in content and order."""
+
+    def test_classes_match_per_member_lifting(self, rng):
+        swapped_groups = k2_classes = 0
+        for _ in range(300):
+            g, cover = pendant_graph(rng)
+            kern = compress_vc(g, cover)
+            k2_hosts = [x for x in kern.pendant_groups if g.degree(x) == 1]
+            for h_cut in enum_kernels._h_solution_edge_sets(kern.graph):
+                got = list(lift_vc(g, kern, h_cut))
+                assert got == list(per_member_lift_vc(g, kern, h_cut))
+                for cut in got:
+                    want = max_parts_of_cut(g, cut.cut_edges)
+                    assert cut.part_of == want.part_of
+                    assert cut.p == want.p
+                    assert cut.cut_edges == want.cut_edges
+                swapped_groups = max(swapped_groups, sum(
+                    1 for x, group in kern.pendant_groups.items()
+                    if len(group) > 1 and kern.retained[x] in got[0].cut_edges
+                ))
+                k2_classes += any(
+                    kern.retained[x] in got[0].cut_edges for x in k2_hosts)
+        # The corpus exercises several swappable groups in one class and
+        # classes that cut a K2 component.
+        assert swapped_groups >= 3 and k2_classes > 0
+
+    def test_pipeline_streams_match(self, rng, monkeypatch):
+        cut_short = 0
+        for _ in range(150):
+            g, cover = pendant_graph(rng)
+            mod = Modulator("vertex-cover", cover)
+            streams = {}
+            for ell in (1, 3, 5):
+                streams[ell] = list(enumerate_via_kernel(g, mod, ell))
+                with monkeypatch.context() as m:
+                    m.setattr(enum_kernels, "lift_vc", per_member_lift_vc)
+                    assert streams[ell] == list(enumerate_via_kernel(g, mod, ell))
+            # A member below ell that cuts a swappable group's edge belongs
+            # to a class of several members, cut off after its first.
+            swappable = {
+                e for group in compress_vc(g, cover).pendant_groups.values()
+                if len(group) > 1 for e in group
+            }
+            cut_short += any(c.p < 5 and c.cut_edges & swappable for c in streams[1])
+        assert cut_short > 0
+
+
+class TestLiftWork:
+    def test_one_canonicalization_per_kernel_solution(self, monkeypatch):
+        # caterpillar(5, 4): 99 classes stand for 3,640 solutions.
+        # Relabelling the whole graph for every member fails this gate.
+        g = caterpillar(5, 4)
+        mod = approx_vertex_cover(g)
+        kernel_solutions = sum(1 for _ in enum_kernels._h_solution_edge_sets(
+            compress_vc(g, mod).graph))
+        calls = []
+
+        def counted(graph, matching):
+            calls.append(1)
+            return max_parts_of_cut(graph, matching)
+
+        monkeypatch.setattr(enum_kernels, "max_parts_of_cut", counted)
+        solutions = sum(1 for _ in enumerate_via_kernel(g, mod, 1))
+        assert (kernel_solutions, solutions) == (99, 3640)
+        assert len(calls) == kernel_solutions
 
 
 class TestVcPipeline:
@@ -275,6 +415,99 @@ class TestCoclusterPipeline:
         }
         got = {c.cut_edges for c in enumerate_via_kernel(g, mod, 1)}
         assert got == want
+
+
+def uncut(graph, matching):
+    """Drop the matching: one part per component."""
+    return max_parts_of_cut(graph, [])
+
+
+class TestInvariants:
+    """The kernel bounds and lifting checks raise InvariantError, also
+    under ``python -O``."""
+
+    def test_vc_kernel_too_large(self, monkeypatch):
+        # Two cover vertices with five common neighbours and a pendant
+        # each: keeping all five breaks the bound 2k + 3 * C(k, 2) = 7.
+        edges = [(x, z) for x in (0, 1) for z in range(2, 7)] + [(0, 7), (1, 8)]
+        monkeypatch.setattr(enum_kernels, "VC_PAIR_MARKS", 5)
+        with pytest.raises(InvariantError, match="kernel size bound"):
+            compress_vc(Graph.from_edges(9, edges), frozenset({0, 1}))
+
+    def test_case_a_kernel_too_large(self, monkeypatch):
+        g, s = build_cocluster_instance(
+            [(0, 1), (1, 2)], [2, 2, 2], [(0, 0), (1, 2), (2, 4)]
+        )
+        monkeypatch.setattr(enum_kernels, "_reduce_many_classes",
+                            lambda graph, s_set, classes: (graph, tuple(range(g.n))))
+        monkeypatch.setattr(enum_kernels, "_compact_from_reduced",
+                            lambda hgraph, to_g, s_set: (hgraph, to_g))
+        with pytest.raises(InvariantError, match="case A kernel bound"):
+            compress_cocluster(g, s, 1)
+
+    def test_case_b_kernel_too_large(self, monkeypatch):
+        edges = [(a, b) for a in range(3, 7) for b in range(7, 11)]
+        edges += [(0, 3), (1, 7), (2, 8), (0, 1)]
+        monkeypatch.setattr(enum_kernels, "_compact_from_reduced",
+                            lambda hgraph, to_g, s_set: (hgraph, to_g))
+        with pytest.raises(InvariantError, match="case B kernel bound"):
+            compress_cocluster(Graph.from_edges(11, edges), frozenset({0, 1, 2}), 1)
+
+    def test_lift_not_exact(self, monkeypatch):
+        g = star(4)
+        kern = compress_vc(g, frozenset({0}))
+        monkeypatch.setattr(enum_kernels, "max_parts_of_cut", uncut)
+        with pytest.raises(InvariantError, match="must be exact"):
+            list(lift_vc(g, kern, frozenset({(0, 1)})))
+
+    def test_swaps_change_part_count(self, monkeypatch):
+        def inflated(graph, matching):
+            cut = max_parts_of_cut(graph, matching)
+            return dataclasses.replace(cut, p=cut.p + 1)
+
+        g = star(4)
+        kern = compress_vc(g, frozenset({0}))
+        monkeypatch.setattr(enum_kernels, "max_parts_of_cut", inflated)
+        with pytest.raises(InvariantError, match="part count"):
+            list(lift_vc(g, kern, frozenset({(0, 1)})))
+
+    def test_cocluster_solution_off_the_graph(self, monkeypatch):
+        # The reduced instance's edge runs to a padding vertex.
+        reduced = CoclusterReduced(path_graph(2), (0, -1), 1)
+        monkeypatch.setattr(enum_kernels, "compress_cocluster",
+                            lambda graph, modulator, ell: reduced)
+        mod = Modulator("co-cluster", frozenset({0}))
+        with pytest.raises(InvariantError, match="only use original edges"):
+            list(enumerate_via_kernel(path_graph(2), mod, 1))
+
+    def test_cocluster_translation_not_exact(self, monkeypatch):
+        g, s = build_cocluster_instance(
+            [(0, 1), (1, 2)], [1, 1, 1], [(0, 0), (1, 1), (2, 2)]
+        )
+        monkeypatch.setattr(enum_kernels, "max_parts_of_cut", uncut)
+        with pytest.raises(InvariantError, match="translated cut must be exact"):
+            list(enumerate_via_kernel(g, Modulator("co-cluster", s), 1))
+
+    def test_checks_run_under_optimize(self):
+        code = (
+            "from mmcut import cuts, enum_kernels\n"
+            "from mmcut.graphs import Graph, InvariantError\n"
+            "g = Graph.from_edges(5, [(0, i) for i in range(1, 5)])\n"
+            "kern = enum_kernels.compress_vc(g, frozenset({0}))\n"
+            "def uncut(graph, matching):\n"
+            "    return cuts.max_parts_of_cut(graph, [])\n"
+            "enum_kernels.max_parts_of_cut = uncut\n"
+            "try:\n"
+            "    list(enum_kernels.lift_vc(g, kern, frozenset({(0, 1)})))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        # Import the package under test, wherever it was found.
+        env = {**os.environ,
+               "PYTHONPATH": str(pathlib.Path(enum_kernels.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "raised\n"
 
 
 class TestDelaySoftRegression:
