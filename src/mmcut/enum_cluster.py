@@ -17,15 +17,26 @@ off the held-out boundaries it cuts, and every pendant unit and erased
 structure owns its local modes, claimed under first-come saturation
 budgets.  Candidate leaves that violate global exactness (an edge whose
 endpoints remain connected) are discarded by the final validation.
+
+Stages 4 and 5 share one branch state per stage-3 cut, a ``LiftState``:
+the cut, its saturated vertices, the part labelling of (G - erased
+vertices) - cut and the union-find over those parts.  Stage 4 builds it
+with one labelling and keeps it current through the pendant modes; at each
+leaf it yields the live object, and ``lift_cluster`` replays the journal
+on it in place and leaves it as it found it.  The state is valid only
+until stage 4 resumes.  A stage-5 generator closed before it is exhausted
+leaves the state dirty; that is safe only because whoever closes it closes
+the stage-4 generator along with it, as ``enumerate_cluster`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .cuts import Edge, Multicut, max_parts_of_cut
-from .graphs import Graph, component_labels
+from .graphs import Graph, InvariantError, component_labels
 from .modulators import Modulator, is_cluster_graph
 from .oracle import SetPackingInstance, enumerate_all_multicuts, enumerate_set_packings
 
@@ -88,6 +99,19 @@ class ClusterInstance:
     lift_entries: tuple[object, ...]  # TwinEntry / SimpleEdgeEntry, in order
     blue: frozenset[tuple[int, ...]]
     journal: tuple[tuple, ...] = field(default_factory=tuple)
+
+    @cached_property
+    def lift_vertices(self) -> frozenset[int]:
+        """Vertices of the erased structures.  Stages 4 and 5 evaluate their
+        conditions on the components of (G - these) - cut: erased structures
+        would otherwise bridge parts they are not yet committed to."""
+        out: set[int] = set()
+        for entry in self.lift_entries:
+            if isinstance(entry, SimpleEdgeEntry):
+                out.update((entry.u, entry.v))
+            else:
+                out.update(entry.vertices)
+        return frozenset(out)
 
     def foreign_edges(self) -> frozenset[Edge]:
         """Edges of the reduced graph absent from the original one."""
@@ -384,26 +408,29 @@ class _Reducer:
         self.lift_entries.append(TwinEntry(victim, nbrs, edge_at, internal))
 
 
-def _structure_asserts(red: _Reducer) -> None:
+def _structure_checks(red: _Reducer) -> None:
     r = len(red.mod)
     pair_bound = 3 * (r * (r - 1) // 2)
     ambiguous = [
         v for v in red.alive - red.mod
         if len({red.group_of[w] for w in red.adj[v] if w in red.mod}) >= 2
     ]
-    assert len(ambiguous) <= pair_bound, "too many ambiguous vertices"
+    if len(ambiguous) > pair_bound:
+        raise InvariantError("too many ambiguous vertices")
     clusters = red.clusters
     # A cluster keeps at most 3 rewired host edges plus one attachment per
     # other monochromatic group; oversized remainders lose their unattached
     # vertices.
     size_cap = r + 3
-    assert all(len(c) <= size_cap for c in clusters), "oversized cluster"
+    if any(len(c) > size_cap for c in clusters):
+        raise InvariantError("oversized cluster")
     spanning = [
         c for c in clusters
         if len(c) >= 3 and red.is_matching_cluster(c)
         and len({red.group_of[w] for w in red.cluster_nbrs(c)}) >= 2
     ]
-    assert len(spanning) <= pair_bound, "too many spanning matching clusters"
+    if len(spanning) > pair_bound:
+        raise InvariantError("too many spanning matching clusters")
     fixed_or_ambig = 0
     amb = set(ambiguous)
     for c in clusters:
@@ -411,7 +438,8 @@ def _structure_asserts(red: _Reducer) -> None:
             continue
         if any(set(c) <= s for s in red.stars) or amb.intersection(c):
             fixed_or_ambig += 1
-    assert fixed_or_ambig <= r + pair_bound, "too many fixed/ambiguous clusters"
+    if fixed_or_ambig > r + pair_bound:
+        raise InvariantError("too many fixed/ambiguous clusters")
 
 
 def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
@@ -425,7 +453,7 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
         raise ValueError("removing the modulator does not leave a cluster graph")
     red = _Reducer(graph, mod)
     red.run()
-    _structure_asserts(red)
+    _structure_checks(red)
 
     mono = tuple(frozenset(p) for p in red.mono)
     held: list[HeldCluster] = []
@@ -479,8 +507,25 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
     )
     r = len(mod)
     bound = r + (r + 6 * (r * (r - 1) // 2)) * (r + 3) + 10 * (r * (r - 1) // 2)
-    assert len(inst.h_vertices) <= max(bound, 1), "core instance too large"
+    if len(inst.h_vertices) > max(bound, 1):
+        raise InvariantError("core instance too large")
+    _check_pendant_units(inst)
     return inst
+
+
+def _check_pendant_units(inst: ClusterInstance) -> None:
+    """Every pendant unit must hang off its host alone in G minus the erased
+    vertices: N(free) within {attached}, N(attached) within {free, host}.
+    Stage 4 relabels only the unit's two vertices on a cut, which keeps the
+    part labelling exact only under this condition."""
+    adj = inst.graph.adj
+    erased = inst.lift_vertices
+    for unit in inst.pendants:
+        if any(u != unit.attached and u not in erased for u in adj[unit.free]) or any(
+            u not in (unit.free, unit.host) and u not in erased
+            for u in adj[unit.attached]
+        ):
+            raise InvariantError(f"pendant unit {unit} is not pendant")
 
 
 def enumerate_core(inst: ClusterInstance) -> Iterator[frozenset[Edge]]:
@@ -519,19 +564,6 @@ def _saturated(cut_edges) -> set[int]:
     return out
 
 
-def _lift_vertices(inst: ClusterInstance) -> set[int]:
-    """Vertices of the erased structures.  Stages 4 and 5 evaluate their
-    conditions on the components of (G - these) - cut: erased structures
-    would otherwise bridge parts they are not yet committed to."""
-    out: set[int] = set()
-    for entry in inst.lift_entries:
-        if isinstance(entry, SimpleEdgeEntry):
-            out.update((entry.u, entry.v))
-        else:
-            out.update(entry.vertices)
-    return out
-
-
 def extend_with_matching_clusters(
     inst: ClusterInstance, core_cut: frozenset[Edge]
 ) -> Iterator[frozenset[Edge]]:
@@ -557,51 +589,6 @@ def extend_with_matching_clusters(
         yield frozenset(cut)
 
 
-def extend_with_pendant_clusters(
-    inst: ClusterInstance,
-    cut: frozenset[Edge],
-    ell: int,
-    extra_potential: int = 0,
-) -> Iterator[frozenset[Edge]]:
-    """Stage 4: recursive branching over pendant units.
-
-    Each unit may stay put, cut its internal edge (a new singleton part), or
-    cut its host edge when the host is still unsaturated (the unit becomes
-    its own part).  Prunes as soon as the remaining units plus the lifting
-    potential cannot reach the target part count."""
-    base_p, _ = component_labels(inst.graph.adj, cut, _lift_vertices(inst))
-    current = set(cut)
-    saturated = _saturated(cut)
-
-    def rec(idx: int, parts: int) -> Iterator[frozenset[Edge]]:
-        remaining = len(inst.pendants) - idx
-        if parts + remaining + extra_potential < ell:
-            return
-        if idx == len(inst.pendants):
-            yield frozenset(current)
-            return
-        unit = inst.pendants[idx]
-        # Skip branch.
-        yield from rec(idx + 1, parts)
-        # Internal branch: the free endpoint becomes a singleton part.
-        internal = _edge(unit.attached, unit.free)
-        current.add(internal)
-        saturated.update(internal)
-        yield from rec(idx + 1, parts + 1)
-        saturated.difference_update(internal)
-        current.discard(internal)
-        # Host branch: the whole unit becomes its own part.
-        if unit.host >= 0 and unit.host not in saturated:
-            host_edge = _edge(unit.attached, unit.host)
-            current.add(host_edge)
-            saturated.update(host_edge)
-            yield from rec(idx + 1, parts + 1)
-            saturated.difference_update(host_edge)
-            current.discard(host_edge)
-
-    yield from rec(0, base_p)
-
-
 class _LiftParts:
     """Union-find over the exclusion-partition part ids, with undo.
 
@@ -614,7 +601,7 @@ class _LiftParts:
     def __init__(self, count: int):
         self.parent = list(range(count))
         self.trail: list[tuple[int, int]] = []
-        self.pairs: list[tuple[Edge, int, int]] = []  # cut edge, base ids
+        self.pairs: list[tuple[Edge, int, int]] = []  # cut edge, its parts
 
     def fresh(self) -> int:
         self.parent.append(len(self.parent))
@@ -656,134 +643,96 @@ class _LiftParts:
         self.pairs.append((edge, pa, pb))
 
 
+@dataclass
+class LiftState:
+    """Branch state of stages 4 and 5 (see the module docstring).
+
+    ``cut`` holds the cut edges and ``saturated`` their endpoints.
+    ``part_of`` labels the components of (G - erased vertices) - cut, -1 on
+    the erased vertices; the labels are ids of ``parts``, which records
+    one pair per cut edge."""
+
+    cut: set[Edge]
+    saturated: set[int]
+    part_of: list[int]
+    parts: _LiftParts
+
+
+def extend_with_pendant_clusters(
+    inst: ClusterInstance,
+    cut: frozenset[Edge],
+    ell: int,
+    extra_potential: int = 0,
+) -> Iterator[LiftState]:
+    """Stage 4: recursive branching over pendant units.
+
+    Each unit may stay put, cut its internal edge (a new singleton part), or
+    cut its host edge when the host is still unsaturated (the unit becomes
+    its own part).  Prunes as soon as the remaining units plus the lifting
+    potential cannot reach the target part count.  Yields the live
+    ``LiftState`` at every leaf; read it before resuming."""
+    count, part_of = component_labels(inst.graph.adj, cut, inst.lift_vertices)
+    parts = _LiftParts(count)
+    for a, b in cut:
+        parts.record_cut((a, b), part_of[a], part_of[b])
+    state = LiftState(set(cut), _saturated(cut), part_of, parts)
+    current, saturated = state.cut, state.saturated
+    pendants = inst.pendants
+
+    def rec(idx: int, reached: int) -> Iterator[LiftState]:
+        remaining = len(pendants) - idx
+        if reached + remaining + extra_potential < ell:
+            return
+        if idx == len(pendants):
+            yield state
+            return
+        unit = pendants[idx]
+        attached, free = unit.attached, unit.free
+        # Skip branch.
+        yield from rec(idx + 1, reached)
+        # Internal branch: the free endpoint becomes a singleton part.
+        mark = parts.mark()
+        shared = part_of[free]
+        part_of[free] = parts.fresh()
+        internal = _edge(attached, free)
+        parts.record_cut(internal, shared, part_of[free])
+        current.add(internal)
+        saturated.update(internal)
+        yield from rec(idx + 1, reached + 1)
+        saturated.difference_update(internal)
+        current.discard(internal)
+        part_of[free] = shared
+        parts.rollback(mark)
+        # Host branch: the whole unit becomes its own part.
+        if unit.host >= 0 and unit.host not in saturated:
+            own = parts.fresh()
+            part_of[attached] = part_of[free] = own
+            host_edge = _edge(attached, unit.host)
+            parts.record_cut(host_edge, part_of[unit.host], own)
+            current.add(host_edge)
+            saturated.update(host_edge)
+            yield from rec(idx + 1, reached + 1)
+            saturated.difference_update(host_edge)
+            current.discard(host_edge)
+            part_of[attached] = part_of[free] = shared
+            parts.rollback(mark)
+
+    yield from rec(0, count)
+
+
 def lift_cluster(
-    inst: ClusterInstance, cut: frozenset[Edge], ell: int,
+    inst: ClusterInstance, leaf: LiftState, ell: int,
     stats_out: dict | None = None,
 ) -> Iterator[Multicut]:
-    """Stage 5: replay the journal of erased structures in order, branching
-    over each one's locally feasible cut modes, and emit the canonical
-    multicuts of the original graph that reach the target part count.
-    Leaves whose cut is not exact are dropped and, when ``stats_out`` is
-    given, counted in ``stats_out["dead_leaves"]``."""
+    """Stage 5: replay the journal of erased structures in order on a
+    stage-4 leaf's live state, branching over each one's locally feasible
+    cut modes, and emit the canonical multicuts of the original graph that
+    reach the target part count.  Once exhausted it leaves ``leaf`` as it
+    found it.  Leaves whose cut is not exact are dropped; when
+    ``stats_out`` is given they are counted in ``stats_out["dead_leaves"]``
+    and the emitted multicuts in ``stats_out["emitted"]``."""
     graph = inst.graph
-    base_count, part_of = component_labels(graph.adj, cut, _lift_vertices(inst))
-    uf = _LiftParts(base_count)
-    for a, b in cut:
-        uf.record_cut((a, b), part_of[a], part_of[b])
-
-    def group_part(hosts) -> int | None:
-        return part_of[hosts[0]] if hosts else None
-
-    current = set(cut)
-    saturated = _saturated(cut)
-    entries = inst.lift_entries
-
-    def rec(idx: int) -> Iterator[frozenset[Edge]]:
-        if idx == len(entries):
-            yield frozenset(current)
-            return
-        entry = entries[idx]
-        if isinstance(entry, SimpleEdgeEntry):
-            yield from _simple_modes(entry, idx)
-        else:
-            yield from _twin_modes(entry, idx)
-
-    def _with_cut(edges_pairs, idx):
-        """Add cut edges (with their part pairs), recurse, undo."""
-        mark = uf.mark()
-        ends = []
-        for edge, pa, pb in edges_pairs:
-            current.add(edge)
-            ends.extend(edge)
-            uf.record_cut(edge, pa, pb)
-        saturated.update(ends)
-        yield from rec(idx + 1)
-        saturated.difference_update(ends)
-        for edge, _pa, _pb in edges_pairs:
-            current.discard(edge)
-        uf.rollback(mark)
-
-    def _simple_modes(entry: SimpleEdgeEntry, idx: int):
-        pu = group_part(entry.u_hosts)
-        pv = group_part(entry.v_hosts)
-        # Stay uncut: the structure bridges its two host sides, merging
-        # their parts if no cut edge runs between them.
-        if pu is None or pv is None or uf.find(pu) == uf.find(pv):
-            yield from rec(idx + 1)
-        elif not uf.blocked_merge(pu, pv):
-            mark = uf.mark()
-            uf.union(pu, pv)
-            yield from rec(idx + 1)
-            uf.rollback(mark)
-        # Internal cut: endpoints part ways with their host sides.
-        if (
-            graph.has_edge(entry.u, entry.v)
-            and (pu is None or pv is None or uf.find(pu) != uf.find(pv))
-        ):
-            mark = uf.mark()
-            pa = pu if pu is not None else uf.fresh()
-            pb = pv if pv is not None else uf.fresh()
-            yield from _with_cut(
-                [(_edge(entry.u, entry.v), pa, pb)], idx
-            )
-            uf.rollback(mark)
-        # Single host-edge cuts, only available for a one-host endpoint;
-        # the pair lands in the other side's part (or a new one).
-        for a, a_hosts, pa, pb in (
-            (entry.u, entry.u_hosts, pu, pv),
-            (entry.v, entry.v_hosts, pv, pu),
-        ):
-            if len(a_hosts) != 1:
-                continue
-            w = a_hosts[0]
-            if w in saturated:
-                continue
-            if pb is not None and uf.find(pa) == uf.find(pb):
-                continue
-            mark = uf.mark()
-            side = pb if pb is not None else uf.fresh()
-            yield from _with_cut([(_edge(a, w), side, pa)], idx)
-            uf.rollback(mark)
-
-    def _twin_modes(entry: TwinEntry, idx: int):
-        # Skip: the twin hangs uncut from its hosts, merging their parts.
-        host_parts = sorted({part_of[w] for w in entry.nbrs})
-        if len(host_parts) == 1 or uf.find(host_parts[0]) == uf.find(host_parts[1]):
-            yield from rec(idx + 1)
-        elif not uf.blocked_merge(host_parts[0], host_parts[1]):
-            mark = uf.mark()
-            uf.union(host_parts[0], host_parts[1])
-            yield from rec(idx + 1)
-            uf.rollback(mark)
-        split = (
-            len(host_parts) == 2
-            and uf.find(host_parts[0]) != uf.find(host_parts[1])
-        )
-        p_at = {w: part_of[w] for w, _e in entry.edge_at}
-        # Internal cut of a two-vertex twin needs its hosts split apart.
-        if entry.internal_edge is not None and split:
-            (w1, _e1), (w2, _e2) = entry.edge_at
-            yield from _with_cut(
-                [(entry.internal_edge, p_at[w1], p_at[w2])], idx
-            )
-        # Full boundary cut: the twin becomes its own part.
-        if all(w not in saturated for w, _e in entry.edge_at):
-            mark = uf.mark()
-            own = uf.fresh()
-            yield from _with_cut(
-                [(e, own, p_at[w]) for w, e in entry.edge_at], idx
-            )
-            uf.rollback(mark)
-        # Half cuts for two-vertex twins whose hosts sit in different parts.
-        if entry.internal_edge is not None and split:
-            others = {w: o for (w, _e), (o, _e2) in
-                      zip(entry.edge_at, reversed(entry.edge_at))}
-            for w, e in entry.edge_at:
-                if w in saturated:
-                    continue
-                yield from _with_cut([(e, p_at[others[w]], p_at[w])], idx)
-
-    for final in rec(0):
+    for final in _replay(inst, leaf, 0):
         out = max_parts_of_cut(graph, final)
         if out.cut_edges != final:
             # Uncut structures joined the endpoints of a cut edge.
@@ -791,7 +740,134 @@ def lift_cluster(
                 stats_out["dead_leaves"] += 1
             continue
         if out.p >= ell:
+            if stats_out is not None:
+                stats_out["emitted"] += 1
             yield out
+
+
+def _replay(
+    inst: ClusterInstance, leaf: LiftState, idx: int
+) -> Iterator[set[Edge]]:
+    """Stage 5's recursion from journal entry ``idx`` on: yields the live
+    cut at every leaf."""
+    if idx == len(inst.lift_entries):
+        yield leaf.cut
+        return
+    entry = inst.lift_entries[idx]
+    if isinstance(entry, SimpleEdgeEntry):
+        yield from _simple_modes(inst, leaf, entry, idx)
+    else:
+        yield from _twin_modes(inst, leaf, entry, idx)
+
+
+def _with_cut(
+    inst: ClusterInstance, leaf: LiftState, edges_pairs, idx: int
+) -> Iterator[set[Edge]]:
+    """Add cut edges (with their part pairs), recurse, undo."""
+    uf = leaf.parts
+    mark = uf.mark()
+    ends = []
+    for edge, pa, pb in edges_pairs:
+        leaf.cut.add(edge)
+        ends.extend(edge)
+        uf.record_cut(edge, pa, pb)
+    leaf.saturated.update(ends)
+    yield from _replay(inst, leaf, idx + 1)
+    leaf.saturated.difference_update(ends)
+    for edge, _pa, _pb in edges_pairs:
+        leaf.cut.discard(edge)
+    uf.rollback(mark)
+
+
+def _simple_modes(
+    inst: ClusterInstance, leaf: LiftState, entry: SimpleEdgeEntry, idx: int
+) -> Iterator[set[Edge]]:
+    uf, part_of = leaf.parts, leaf.part_of
+    pu = part_of[entry.u_hosts[0]] if entry.u_hosts else None
+    pv = part_of[entry.v_hosts[0]] if entry.v_hosts else None
+    # Stay uncut: the structure bridges its two host sides, merging
+    # their parts if no cut edge runs between them.
+    if pu is None or pv is None or uf.find(pu) == uf.find(pv):
+        yield from _replay(inst, leaf, idx + 1)
+    elif not uf.blocked_merge(pu, pv):
+        mark = uf.mark()
+        uf.union(pu, pv)
+        yield from _replay(inst, leaf, idx + 1)
+        uf.rollback(mark)
+    # Internal cut: endpoints part ways with their host sides.
+    if (
+        inst.graph.has_edge(entry.u, entry.v)
+        and (pu is None or pv is None or uf.find(pu) != uf.find(pv))
+    ):
+        mark = uf.mark()
+        pa = pu if pu is not None else uf.fresh()
+        pb = pv if pv is not None else uf.fresh()
+        yield from _with_cut(inst, leaf, [(_edge(entry.u, entry.v), pa, pb)], idx)
+        uf.rollback(mark)
+    # Single host-edge cuts, only available for a one-host endpoint;
+    # the pair lands in the other side's part (or a new one).
+    for a, a_hosts, pa, pb in (
+        (entry.u, entry.u_hosts, pu, pv),
+        (entry.v, entry.v_hosts, pv, pu),
+    ):
+        if len(a_hosts) != 1:
+            continue
+        w = a_hosts[0]
+        if w in leaf.saturated:
+            continue
+        if pb is not None and uf.find(pa) == uf.find(pb):
+            continue
+        mark = uf.mark()
+        side = pb if pb is not None else uf.fresh()
+        yield from _with_cut(inst, leaf, [(_edge(a, w), side, pa)], idx)
+        uf.rollback(mark)
+
+
+def _twin_modes(
+    inst: ClusterInstance, leaf: LiftState, entry: TwinEntry, idx: int
+) -> Iterator[set[Edge]]:
+    uf, part_of, saturated = leaf.parts, leaf.part_of, leaf.saturated
+    # Skip: the twin hangs uncut from its hosts, merging their parts.
+    host_parts = sorted({part_of[w] for w in entry.nbrs})
+    if len(host_parts) > 2:
+        # Only two of the parts are used: those with the smallest
+        # vertices, as a labelling numbered by smallest vertex orders
+        # them (the pendant modes' fresh ids are not in that order).
+        host_parts.sort(key=part_of.index)
+    if len(host_parts) == 1 or uf.find(host_parts[0]) == uf.find(host_parts[1]):
+        yield from _replay(inst, leaf, idx + 1)
+    elif not uf.blocked_merge(host_parts[0], host_parts[1]):
+        mark = uf.mark()
+        uf.union(host_parts[0], host_parts[1])
+        yield from _replay(inst, leaf, idx + 1)
+        uf.rollback(mark)
+    split = (
+        len(host_parts) == 2
+        and uf.find(host_parts[0]) != uf.find(host_parts[1])
+    )
+    p_at = {w: part_of[w] for w, _e in entry.edge_at}
+    # Internal cut of a two-vertex twin needs its hosts split apart.
+    if entry.internal_edge is not None and split:
+        (w1, _e1), (w2, _e2) = entry.edge_at
+        yield from _with_cut(
+            inst, leaf, [(entry.internal_edge, p_at[w1], p_at[w2])], idx
+        )
+    # Full boundary cut: the twin becomes its own part.
+    if all(w not in saturated for w, _e in entry.edge_at):
+        mark = uf.mark()
+        own = uf.fresh()
+        yield from _with_cut(
+            inst, leaf, [(e, own, p_at[w]) for w, e in entry.edge_at], idx
+        )
+        uf.rollback(mark)
+    # Half cuts for two-vertex twins whose hosts sit in different parts.
+    if entry.internal_edge is not None and split:
+        others = {w: o for (w, _e), (o, _e2) in
+                  zip(entry.edge_at, reversed(entry.edge_at))}
+        for w, e in entry.edge_at:
+            if w in saturated:
+                continue
+            yield from _with_cut(inst, leaf, [(e, p_at[others[w]], p_at[w])], idx)
 
 
 def _lift_part_potential(inst: ClusterInstance) -> int:
@@ -812,17 +888,20 @@ def enumerate_cluster(
 ) -> Iterator[Multicut]:
     """All canonical matching multicuts of the graph with at least ``ell``
     parts, each exactly once, via the five-stage pipeline.
-    ``stats_out["dead_leaves"]`` receives the number of stage-5 leaves
-    discarded because a cut edge's endpoints stayed connected."""
+    ``stats_out`` receives ``stage4_leaves`` (leaves handed to stage 5),
+    ``dead_leaves`` (stage-5 leaves discarded because a cut edge's
+    endpoints stayed connected) and ``emitted`` (multicuts yielded)."""
     if ell < 1:
         raise ValueError("ell must be positive")
     if stats_out is not None:
-        stats_out["dead_leaves"] = 0
+        stats_out.update(stage4_leaves=0, dead_leaves=0, emitted=0)
     if ell > graph.n:
         return
     inst = reduce_cluster_instance(graph, modulator)
     extra = _lift_part_potential(inst)
     for core_cut in enumerate_core(inst):
         for packed in extend_with_matching_clusters(inst, core_cut):
-            for staged in extend_with_pendant_clusters(inst, packed, ell, extra):
-                yield from lift_cluster(inst, staged, ell, stats_out)
+            for leaf in extend_with_pendant_clusters(inst, packed, ell, extra):
+                if stats_out is not None:
+                    stats_out["stage4_leaves"] += 1
+                yield from lift_cluster(inst, leaf, ell, stats_out)

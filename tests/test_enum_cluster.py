@@ -1,9 +1,18 @@
 """Distance-to-cluster enumeration pipeline."""
 
+import os
+import pathlib
+import subprocess
+import sys
+from collections import Counter
+
 import pytest
 
+from mmcut import enum_cluster
 from mmcut.enum_cluster import (
     ClusterInstance,
+    PendantUnit,
+    _lift_part_potential,
     _Reducer,
     enumerate_cluster,
     enumerate_core,
@@ -12,10 +21,17 @@ from mmcut.enum_cluster import (
     lift_cluster,
     reduce_cluster_instance,
 )
-from mmcut.graphs import Graph, complete_graph, path_graph
+from mmcut.graphs import (
+    Graph,
+    InvariantError,
+    complete_graph,
+    component_labels,
+    path_graph,
+)
 from mmcut.modulators import approx_cluster_modulator
 
 from conftest import oracle_solution_set, random_graph
+from lift_reference import enumerate_cluster_bfs
 
 
 def pendant_farm(hosts: int, per_host: int) -> tuple[Graph, frozenset]:
@@ -28,6 +44,32 @@ def pendant_farm(hosts: int, per_host: int) -> tuple[Graph, frozenset]:
             edges.append((nxt, nxt + 1))
             nxt += 2
     return Graph.from_edges(nxt, edges), frozenset(range(hosts))
+
+
+def delay_family(n_target: int) -> Graph:
+    """A four-vertex host path with pendant two-paths hung round-robin."""
+    edges = [(0, 1), (1, 2), (2, 3)]
+    nxt = 4
+    while nxt + 2 <= n_target:
+        edges += [((nxt - 4) // 2 % 4, nxt), (nxt, nxt + 1)]
+        nxt += 2
+    return Graph.from_edges(nxt, edges)
+
+
+def caterpillar(spine: int, legs: int) -> Graph:
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for i in range(spine):
+        for _ in range(legs):
+            edges.append((i, nxt))
+            nxt += 1
+    return Graph.from_edges(nxt, edges)
+
+
+def leaf_cuts(inst, cut, ell, extra=0):
+    """Stage 4's leaves, each read off the live state while iterating."""
+    return [frozenset(leaf.cut)
+            for leaf in extend_with_pendant_clusters(inst, cut, ell, extra)]
 
 
 class TestReduce:
@@ -159,7 +201,7 @@ class TestStages:
     def test_pendant_stage_adds_parts(self):
         g, mod = pendant_farm(2, 2)
         inst = reduce_cluster_instance(g, mod)
-        outs = list(extend_with_pendant_clusters(inst, frozenset(), 1))
+        outs = leaf_cuts(inst, frozenset(), 1)
         assert frozenset() in outs
         assert len(outs) == len(set(outs))
 
@@ -167,7 +209,7 @@ class TestStages:
         g, mod = pendant_farm(1, 1)
         inst = reduce_cluster_instance(g, mod)
         # One kept pendant can add at most one part beyond the base.
-        outs = list(extend_with_pendant_clusters(inst, frozenset(), 5))
+        outs = leaf_cuts(inst, frozenset(), 5)
         assert outs == []
 
     def test_lift_emits_original_graph_cuts(self, rng):
@@ -175,8 +217,8 @@ class TestStages:
             g = random_graph(rng, rng.randint(2, 8), 0.5)
             mod = approx_cluster_modulator(g)
             inst = reduce_cluster_instance(g, mod)
-            for staged in extend_with_pendant_clusters(inst, frozenset(), 1):
-                for cut in lift_cluster(inst, staged, 1):
+            for leaf in extend_with_pendant_clusters(inst, frozenset(), 1):
+                for cut in lift_cluster(inst, leaf, 1):
                     assert cut.check(g, 1) is None
                 break
 
@@ -228,11 +270,11 @@ class TestEndToEnd:
         stats = {}
         got = [c.cut_edges for c in enumerate_cluster(g, frozenset({0, 1, 3}), 1,
                                                       stats_out=stats)]
-        assert stats == {"dead_leaves": 2}
+        assert stats == {"dead_leaves": 2, "stage4_leaves": 3, "emitted": len(got)}
         assert len(got) == len(set(got)) and set(got) == oracle_solution_set(g, 1)
         stats = {}
         list(enumerate_cluster(g, frozenset({0, 1, 3}), 9, stats_out=stats))
-        assert stats == {"dead_leaves": 0}
+        assert stats == {"dead_leaves": 0, "stage4_leaves": 0, "emitted": 0}
 
     def test_large_instance_streams(self):
         # Far beyond oracle reach: check stream validity and uniqueness of a
@@ -287,15 +329,17 @@ class TestStageExamples:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         inst = reduce_cluster_instance(g, frozenset({0, 1}))
         assert inst.pendants == ()
-        outs = list(extend_with_pendant_clusters(inst, frozenset(), 1))
+        outs = leaf_cuts(inst, frozenset(), 1)
         assert outs == [frozenset()]
 
     def test_empty_journal_singleton_lift(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         inst = reduce_cluster_instance(g, frozenset({0, 1}))
         assert inst.lift_entries == ()
-        lifted = list(lift_cluster(inst, frozenset(), 1))
+        stage4 = extend_with_pendant_clusters(inst, frozenset(), 1)
+        lifted = list(lift_cluster(inst, next(stage4), 1))
         assert len(lifted) == 1 and lifted[0].cut_edges == frozenset()
+        assert next(stage4, None) is None
 
     def test_erased_simple_cluster_three_variants(self):
         # Merged host group (via a fixed triangle), an erased simple edge
@@ -327,3 +371,216 @@ class TestStageExamples:
             want = oracle_solution_set(g, ell)
             got = {c.cut_edges for c in enumerate_cluster(g, frozenset({0}), ell)}
             assert got == want
+
+
+def _blocks(labels):
+    """A labelling up to renaming: labels in order of first appearance."""
+    first = {}
+    return [first.setdefault(x, len(first)) if x >= 0 else -1 for x in labels]
+
+
+def _state(leaf):
+    parts = leaf.parts
+    return (frozenset(leaf.cut), frozenset(leaf.saturated), tuple(leaf.part_of),
+            tuple(parts.parent), tuple(parts.trail), tuple(parts.pairs))
+
+
+def checked_stream(g, mod, ell):
+    """``enumerate_cluster``'s stream, driven stage by stage.  Each stage-4
+    leaf's live labelling must describe the components of
+    (G - erased vertices) - cut, and stage 5 must hand the state back as it
+    found it."""
+    inst = reduce_cluster_instance(g, mod)
+    extra = _lift_part_potential(inst)
+    stats = {"dead_leaves": 0, "emitted": 0}
+    out = []
+    for core in enumerate_core(inst):
+        for packed in extend_with_matching_clusters(inst, core):
+            for leaf in extend_with_pendant_clusters(inst, packed, ell, extra):
+                _, labels = component_labels(g.adj, leaf.cut, inst.lift_vertices)
+                assert _blocks(leaf.part_of) == _blocks(labels)
+                before = _state(leaf)
+                out.extend(lift_cluster(inst, leaf, ell, stats))
+                assert _state(leaf) == before
+    return out, stats["dead_leaves"]
+
+
+# Modulator {3, 4, 5} in three groups, a kept triangle and its erased twin
+# attached to all three, and a pendant unit {0, 1} on host 5.  The twin's
+# hosts sit in three parts, and cutting the unit's host edge changes which
+# of them hold the smallest vertices.
+THREE_HOST_TWIN = Graph.from_edges(12, [
+    (0, 5), (0, 1), (6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11),
+    (6, 3), (7, 4), (8, 5), (9, 3), (10, 4), (11, 5),
+])
+
+
+class TestLiftStateEquivalence:
+    """Stages 4-5 over the live leaf state give the same stream, in the same
+    order and with the same dead leaves, as the reference stages that
+    relabel the graph by BFS at every leaf."""
+
+    def assert_same(self, g, mod, ells):
+        for ell in ells:
+            stats, ref_stats = {}, {}
+            got = list(enumerate_cluster(g, mod, ell, stats))
+            want = list(enumerate_cluster_bfs(g, mod, ell, ref_stats))
+            assert got == want, (g.n, sorted(g.edges()), sorted(mod), ell)
+            assert stats["dead_leaves"] == ref_stats["dead_leaves"]
+            assert stats["emitted"] == len(got)
+            if ell <= g.n:
+                assert checked_stream(g, mod, ell) == (got, stats["dead_leaves"])
+
+    def test_random_graphs(self, rng):
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 11), rng.choice([0.15, 0.3, 0.5, 0.8]))
+            self.assert_same(g, approx_cluster_modulator(g), (1, 2, 4))
+
+    def test_pendant_farms(self):
+        for hosts, per in ((1, 3), (2, 2), (3, 1), (2, 3)):
+            g, mod = pendant_farm(hosts, per)
+            self.assert_same(g, mod, (1, 2, 3, 4))
+
+    def test_delay_family(self):
+        for n in (12, 16, 20):
+            g = delay_family(n)
+            self.assert_same(g, approx_cluster_modulator(g), (1, 4))
+
+    def test_caterpillars(self):
+        for spine, legs in ((4, 2), (5, 4)):
+            g = caterpillar(spine, legs)
+            self.assert_same(g, approx_cluster_modulator(g), (1, 3))
+
+    def test_twin_with_three_host_parts(self):
+        g = THREE_HOST_TWIN
+        mod = frozenset({3, 4, 5})
+        inst = reduce_cluster_instance(g, mod)
+        assert [len(e.nbrs) for e in inst.lift_entries] == [3]
+        assert len(inst.mono) == 3 and len(inst.pendants) == 1
+        self.assert_same(g, mod, (1, 2, 3, 4, 5))
+        stats = {}
+        list(enumerate_cluster(g, mod, 1, stats))
+        assert stats["dead_leaves"] == 3
+
+
+class TestClusterLiftWork:
+    def test_one_labelling_per_stage3_cut_and_stage5_leaf(self, monkeypatch):
+        # Stages 4-5 may label the whole graph once per stage-3 cut (stage
+        # 4's base labelling) and once per stage-5 leaf (its exactness
+        # check).  Relabelling every stage-4 leaf again fails this gate.
+        g = delay_family(20)
+        mod = approx_cluster_modulator(g)
+        counts = Counter()
+        reduce = enum_cluster.reduce_cluster_instance
+        labels = enum_cluster.component_labels
+        canonical = enum_cluster.max_parts_of_cut
+        stage3 = enum_cluster.extend_with_matching_clusters
+
+        def counted_labels(*args, **kwargs):
+            counts["labellings"] += 1
+            return labels(*args, **kwargs)
+
+        def counted_reduce(*args):
+            inst = reduce(*args)  # stage 1's own labellings are not counted
+            monkeypatch.setattr(enum_cluster, "component_labels", counted_labels)
+            return inst
+
+        def counted_canonical(graph, matching):
+            counts["labellings"] += 1
+            counts["stage5_leaves"] += 1
+            return canonical(graph, matching)
+
+        def counted_stage3(inst, core_cut):
+            for cut in stage3(inst, core_cut):
+                counts["stage3_cuts"] += 1
+                yield cut
+
+        monkeypatch.setattr(enum_cluster, "reduce_cluster_instance", counted_reduce)
+        monkeypatch.setattr(enum_cluster, "max_parts_of_cut", counted_canonical)
+        monkeypatch.setattr(enum_cluster, "extend_with_matching_clusters", counted_stage3)
+        solutions = sum(1 for _ in enum_cluster.enumerate_cluster(g, mod, 4))
+        assert counts["labellings"] <= counts["stage3_cuts"] + counts["stage5_leaves"]
+        assert (solutions, counts["stage5_leaves"]) == (7259, 7259)
+
+
+class TestInvariants:
+    """Stage 1's structure bounds and the pendant-unit condition stage 4
+    relies on raise InvariantError, also under ``python -O``.  Each test
+    disables the rules that keep its bound."""
+
+    @staticmethod
+    def without(monkeypatch, *rules):
+        for rule in rules:
+            monkeypatch.setattr(_Reducer, rule, lambda self: False)
+
+    def test_too_many_ambiguous_vertices(self, monkeypatch):
+        # Four vertices see both modulator vertices; rule 2 would merge them.
+        g = Graph.from_edges(6, [(w, v) for w in (0, 1) for v in range(2, 6)])
+        self.without(monkeypatch, "_rule2")
+        with pytest.raises(InvariantError, match="ambiguous vertices"):
+            reduce_cluster_instance(g, frozenset({0, 1}))
+
+    def test_oversized_cluster(self, monkeypatch):
+        # K6 with one attached vertex; rule 4 would strip the other five.
+        g = Graph.from_edges(7, [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
+                             + [(0, 1)])
+        self.without(monkeypatch, "_rule4")
+        with pytest.raises(InvariantError, match="oversized cluster"):
+            reduce_cluster_instance(g, frozenset({0}))
+
+    def test_too_many_spanning_clusters(self, monkeypatch):
+        # Four triangles matched to both modulator vertices; rule 7 would
+        # merge the groups and rules 8-9 would erase three of them.
+        edges = []
+        for t in range(4):
+            a, b, c = 2 + 3 * t, 3 + 3 * t, 4 + 3 * t
+            edges += [(a, b), (b, c), (a, c), (0, a), (1, b)]
+        self.without(monkeypatch, "_rule7", "_rule89")
+        with pytest.raises(InvariantError, match="spanning matching clusters"):
+            reduce_cluster_instance(Graph.from_edges(14, edges), frozenset({0, 1}))
+
+    def test_too_many_fixed_clusters(self, monkeypatch):
+        # Two triangles glued to one modulator vertex; rule 3 would join them.
+        edges = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6),
+                 (0, 1), (0, 2), (0, 4), (0, 5)]
+        self.without(monkeypatch, "_rule3")
+        with pytest.raises(InvariantError, match="fixed/ambiguous clusters"):
+            reduce_cluster_instance(Graph.from_edges(7, edges), frozenset({0}))
+
+    def test_core_too_large(self, monkeypatch):
+        # A K6 glued to the modulator stays in the core; without rule 4 and
+        # the structure checks it keeps 7 > 5 core vertices.
+        g = Graph.from_edges(7, [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
+                             + [(0, 1), (0, 2)])
+        self.without(monkeypatch, "_rule4")
+        monkeypatch.setattr(enum_cluster, "_structure_checks", lambda red: None)
+        with pytest.raises(InvariantError, match="core instance too large"):
+            reduce_cluster_instance(g, frozenset({0}))
+
+    def test_pendant_unit_not_pendant(self, monkeypatch):
+        # Swapping a unit's ends leaves its "free" vertex next to the host.
+        g, mod = pendant_farm(1, 1)
+        monkeypatch.setattr(
+            enum_cluster, "PendantUnit",
+            lambda attached, free, host, kept: PendantUnit(free, attached, host, kept))
+        with pytest.raises(InvariantError, match="is not pendant"):
+            reduce_cluster_instance(g, mod)
+
+    def test_checks_run_under_optimize(self):
+        code = (
+            "from mmcut import enum_cluster\n"
+            "from mmcut.graphs import Graph, InvariantError\n"
+            "edges = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]\n"
+            "g = Graph.from_edges(7, edges + [(0, 1)])\n"
+            "enum_cluster._Reducer._rule4 = lambda self: False\n"
+            "try:\n"
+            "    enum_cluster.reduce_cluster_instance(g, frozenset({0}))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        # Import the package under test, wherever it was found.
+        env = {**os.environ,
+               "PYTHONPATH": str(pathlib.Path(enum_cluster.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "raised\n"
