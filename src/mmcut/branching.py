@@ -593,17 +593,14 @@ def first_configuration(state: PartialState) -> tuple[str, list] | None:
     return None
 
 
-def select_branch(state: PartialState) -> list[PartialState]:
-    """Children of a reduced, alive, not-fully-assigned state.
+def select_branch(state: PartialState) -> tuple[str, list[PartialState]]:
+    """The rule that branches a reduced, alive, not-fully-assigned state,
+    and the children it makes.
 
     Priority: pendant pre-branch, then the first applicable configuration
     among B1-B8/B4' scanning candidate vertices in ascending id, then the
     closing assignment, then an exhaustive branch on the lowest free vertex.
     """
-    return _select_branch_named(state)[1]
-
-
-def _select_branch_named(state: PartialState) -> tuple[str, list[PartialState]]:
     graph = state.graph
     # Pendant pre-branch: join the host's part or open a singleton part.
     for u in range(graph.n):
@@ -654,7 +651,7 @@ def _search(
         if canonicalize(reduced.graph, reduced.assign).p >= reduced.ell:
             return reduced.assign, trace.applications
         return None
-    rule, children = _select_branch_named(reduced)
+    rule, children = select_branch(reduced)
     for child in children:
         if child.free_count == 0:
             if canonicalize(child.graph, child.assign).p < child.ell:

@@ -148,36 +148,34 @@ def canonicalize(graph: Graph, part_of) -> Multicut:
     return Multicut(tuple(part_index), p, cut)
 
 
+def matching_edges(graph: Graph, matching: Iterable[Edge]) -> set[Edge]:
+    """The edges of ``matching`` as ``(u, v)`` with ``u < v``.  Raises
+    ValueError unless each is an edge of the graph and no two share an
+    endpoint."""
+    adj = graph.adj
+    cut = set()
+    saturated = set()
+    for u, v in matching:
+        if v not in adj[u]:  # adjacency lists hold no loops
+            raise ValueError(f"({u}, {v}) is not an edge")
+        if u in saturated or v in saturated:
+            raise ValueError(f"({u}, {v}) shares an endpoint: not a matching")
+        saturated.add(u)
+        saturated.add(v)
+        cut.add((u, v) if u < v else (v, u))
+    return cut
+
+
 def max_parts_of_cut(graph: Graph, matching: Iterable[Edge]) -> Multicut:
     """Canonical multicut whose parts are the components of G - M.
 
     ``matching`` must be a matching; edges of M that do not separate their
     endpoints are dropped from cut_edges by canonicalization.
     """
-    cut = set()
-    saturated = set()
-    for u, v in matching:
-        if u == v or not graph.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge")
-        if u in saturated or v in saturated:
-            raise ValueError(f"({u}, {v}) shares an endpoint: not a matching")
-        saturated.update((u, v))
-        cut.add((u, v) if u < v else (v, u))
+    cut = matching_edges(graph, matching)
     p, part_index = component_labels(graph.adj, cut)
     # Edges outside M never separate their endpoints.  Copying a set sizes
     # the frozenset's table once; a generator can leave it twice as large.
     crossing = frozenset({e for e in cut if part_index[e[0]] != part_index[e[1]]})
     return Multicut(tuple(part_index), p, crossing)
 
-
-def cut_is_multicut(graph: Graph, matching: Iterable[Edge]) -> bool:
-    """True iff M is a matching whose edges all separate their endpoints in
-    G - M, i.e. M is exactly the crossing set of its component partition."""
-    edges = set(matching)
-    try:
-        cut = max_parts_of_cut(graph, edges)
-    except ValueError:
-        return False
-    return cut.cut_edges == frozenset(
-        (u, v) if u < v else (v, u) for u, v in edges
-    )

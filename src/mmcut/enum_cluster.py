@@ -23,7 +23,9 @@ the cut, its saturated vertices, the part labelling of (G - erased
 vertices) - cut and the union-find over those parts.  Stage 4 builds it
 with one labelling and keeps it current through the pendant modes; at each
 leaf it yields the live object, and ``lift_cluster`` replays the journal
-on it in place and leaves it as it found it.  The state is valid only
+on it in place and leaves it as it found it.  Each lifted leaf's multicut
+is read off the stage-4 labelling, joined through the uncut edges at the
+erased vertices, with no whole-graph labelling.  The state is valid only
 until stage 4 resumes.  A stage-5 generator closed before it is exhausted
 leaves the state dirty; that is safe only because whoever closes it closes
 the stage-4 generator along with it, as ``enumerate_cluster`` does.
@@ -35,7 +37,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-from .cuts import Edge, Multicut, max_parts_of_cut
+# max_parts_of_cut is not called here; it stays a module attribute so that
+# instrumentation and tests that wrap enum_cluster.max_parts_of_cut see that
+# stage 5 makes no whole-graph labelling.
+from .cuts import Edge, Multicut, matching_edges, max_parts_of_cut  # noqa: F401
 from .graphs import Graph, InvariantError, component_labels
 from .modulators import Modulator, is_cluster_graph
 from .oracle import SetPackingInstance, enumerate_all_multicuts, enumerate_set_packings
@@ -112,6 +117,28 @@ class ClusterInstance:
             else:
                 out.update(entry.vertices)
         return frozenset(out)
+
+    @cached_property
+    def erased_leaves(self) -> tuple[tuple[int, Edge, int], ...]:
+        """``(v, edge, w)`` for every erased vertex v whose one edge goes to
+        a vertex w that is not erased.  Stage 5 cuts only edges with an
+        erased endpoint, so the rest of G - cut keeps the stage-4 parts, and
+        v joins the part of w unless the edge is cut."""
+        adj = self.graph.adj
+        erased = self.lift_vertices
+        return tuple(
+            (v, _edge(v, adj[v][0]), adj[v][0]) for v in sorted(erased)
+            if len(adj[v]) == 1 and adj[v][0] not in erased
+        )
+
+    @cached_property
+    def erased_edges(self) -> tuple[Edge, ...]:
+        """The other edges of G with an erased endpoint."""
+        adj = self.graph.adj
+        leaves = {v for v, _e, _w in self.erased_leaves}
+        return tuple(sorted(
+            {_edge(u, v) for u in self.lift_vertices - leaves for v in adj[u]}
+        ))
 
     def foreign_edges(self) -> frozenset[Edge]:
         """Edges of the reduced graph absent from the original one."""
@@ -731,9 +758,8 @@ def lift_cluster(
     found it.  Leaves whose cut is not exact are dropped; when
     ``stats_out`` is given they are counted in ``stats_out["dead_leaves"]``
     and the emitted multicuts in ``stats_out["emitted"]``."""
-    graph = inst.graph
     for final in _replay(inst, leaf, 0):
-        out = max_parts_of_cut(graph, final)
+        out = _leaf_multicut(inst, leaf, final)
         if out.cut_edges != final:
             # Uncut structures joined the endpoints of a cut edge.
             if stats_out is not None:
@@ -743,6 +769,65 @@ def lift_cluster(
             if stats_out is not None:
                 stats_out["emitted"] += 1
             yield out
+
+
+def _leaf_multicut(
+    inst: ClusterInstance, leaf: LiftState, final: set[Edge]
+) -> Multicut:
+    """The canonical multicut whose parts are the components of G - final,
+    as ``max_parts_of_cut`` gives it, without labelling the whole graph.
+
+    Every edge stage 5 adds to the cut touches an erased vertex, so the
+    components of G - final are the stage-4 parts of ``leaf.part_of``
+    joined through the uncut erased edges."""
+    matching_edges(inst.graph, final)
+    labels = _joined_labels(inst, leaf, final)
+    # Number the parts by first appearance in vertex order.
+    index: dict[int, int] = {}
+    part_of = tuple([index.setdefault(x, len(index)) for x in labels])
+    crossing = frozenset({e for e in final if part_of[e[0]] != part_of[e[1]]})
+    return Multicut(part_of, len(index), crossing)
+
+
+def _joined_labels(
+    inst: ClusterInstance, leaf: LiftState, final: set[Edge]
+) -> list[int]:
+    """A label per vertex, equal exactly on the components of G - final.
+
+    ``erased_edges`` are joined by a union-find whose nodes are the
+    stage-4 part ids and, after them, one id per erased vertex; each root
+    is the smallest id of its set.  Each erased leaf then takes the label
+    of its neighbour, or one of its own when its edge is cut."""
+    labels = leaf.part_of.copy()
+    if inst.erased_edges:
+        base = len(leaf.parts.parent)  # above every part id of stage 4
+        for i, v in enumerate(inst.lift_vertices, base):
+            labels[v] = i
+        parent = list(range(base + len(inst.lift_vertices)))
+        linked = []
+        for e in inst.erased_edges:
+            if e in final:
+                continue
+            a, b = labels[e[0]], labels[e[1]]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                parent[b] = a
+                linked.append(b)
+        if linked:
+            # Each link points to a smaller id, so in ascending order one
+            # step reaches the root.
+            linked.sort()
+            for x in linked:
+                parent[x] = parent[parent[x]]
+            labels = list(map(parent.__getitem__, labels))
+    for v, e, w in inst.erased_leaves:
+        labels[v] = -1 - v if e in final else labels[w]  # no part id is negative
+    return labels
 
 
 def _replay(

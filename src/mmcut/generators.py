@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .cuts import Multicut, canonicalize, validate_multicut
-from .graphs import Graph
+from .graphs import Graph, InvariantError
 from .oracle import (
     SetPackingInstance,
     enumerate_set_packings,
@@ -134,10 +134,10 @@ def reduce_is_to_mmc(
     for i in range(m):
         b.edge(n_ring[i], p_ring[(i + 1) % m])
     target = Graph.from_edges(b.n, b.edges)
-    if cubic:
-        assert all(target.degree(v) == 3 for v in range(target.n))
-    else:
-        assert target.max_degree <= 3
+    if cubic and any(target.degree(v) != 3 for v in range(target.n)):
+        raise InvariantError("cubic variant: the target is not cubic")
+    if target.max_degree > 3:
+        raise InvariantError("the target has a vertex of degree above 3")
     ell = 2 * m + k + 1
 
     tri_parts = {u: frozenset(t) for u, t in triangles.items()}
@@ -158,7 +158,8 @@ def reduce_is_to_mmc(
                 part_of[w] = nxt
             nxt += 1
         cut = canonicalize(target, part_of)
-        assert validate_multicut(target, cut.part_of, ell) is None
+        if validate_multicut(target, cut.part_of, ell) is not None:
+            raise InvariantError("is-to-mmc: the forward image is not a solution")
         return cut
 
     def backward(cut: Multicut) -> list[int]:
@@ -248,11 +249,14 @@ def cross_compose_set_packing(
                 origin[idx] = (a, i, j)
                 family.append(frozenset(members) | bits_of(a, j) | {s_elem(j)})
     composed = SetPackingInstance(ground, tuple(family), r + 1)
-    assert composed.ground_size == n_y + (r + 1) + 2 * tau * r
-    for a in range(2 ** tau):
-        assert len(family[selector_index[a]]) == 1 + r * tau
-        for c in range(a + 1, 2 ** tau):
-            assert s_elem(0) in family[selector_index[a]] & family[selector_index[c]]
+    if composed.ground_size != n_y + (r + 1) + 2 * tau * r:
+        raise InvariantError("cross-composition: the ground set has the wrong size")
+    selectors = [composed.family[selector_index[a]] for a in range(2 ** tau)]
+    if any(len(sel) != 1 + r * tau for sel in selectors):
+        raise InvariantError("cross-composition: a selector set has the wrong size")
+    # Every selector holds s_0, so any two of them clash.
+    if any(s_elem(0) not in sel for sel in selectors):
+        raise InvariantError("cross-composition: a selector set misses s_0")
 
     def forward(a: int, source_packing) -> list[int]:
         chosen = list(source_packing)[:r]
@@ -330,7 +334,8 @@ def reduce_set_packing_to_mmc(
             for w in set_cliques[i]:
                 part_of[w] = nxt
         cut = canonicalize(target, part_of)
-        assert validate_multicut(target, cut.part_of, ell) is None
+        if validate_multicut(target, cut.part_of, ell) is not None:
+            raise InvariantError("sp-to-mmc: the forward image is not a solution")
         return cut
 
     def backward(cut: Multicut) -> list[int]:

@@ -122,8 +122,8 @@ class TestBranching:
         g = Graph.from_edges(4, [(0, 2), (1, 2), (2, 3)])
         state = make_state(g, 2, [(0, 0), (1, 1)])
         assert first_configuration(state)[0] == "B3"
-        children = select_branch(state)
-        assert len(children) == 2
+        rule, children = select_branch(state)
+        assert rule == "B3" and len(children) == 2
         assert [c.assign[2] == c.assign[3] for c in children] == [True, True]
         assert {c.assign[2] for c in children} == {0, 1}
 
@@ -131,8 +131,8 @@ class TestBranching:
         g = Graph.from_edges(7, [(0, 3), (0, 4), (3, 5), (5, 1), (4, 6)])
         state = make_state(g, 3, [(0, 0), (1, 1), (2, 2)])
         assert first_configuration(state)[0] == "B8"
-        children = select_branch(state)
-        assert len(children) == 3  # one per part for the branch vertex
+        rule, children = select_branch(state)
+        assert rule == "B8" and len(children) == 3  # one per part for the branch vertex
         assert {c.assign[3] for c in children} == {0, 1, 2}
 
     def test_completion_single_child_validates(self):
@@ -143,8 +143,8 @@ class TestBranching:
         reduced, _ = apply_reduction_rules(state)
         assert reduced.assign[:3] == [0, 0, 0]
         assert first_configuration(reduced) is None
-        children = select_branch(reduced)
-        assert len(children) == 1
+        rule, children = select_branch(reduced)
+        assert rule == "completion" and len(children) == 1
         child = children[0]
         assert child.free_count == 0
         assert validate_multicut(g, child.assign, 2) is None
@@ -157,7 +157,7 @@ class TestBranching:
             reduced, _ = apply_reduction_rules(state)
             if reduced is None or reduced.free_count == 0:
                 continue
-            for child in select_branch(reduced):
+            for child in select_branch(reduced)[1]:
                 assert child.free_count < reduced.free_count
 
 

@@ -222,6 +222,17 @@ class TestStages:
                     assert cut.check(g, 1) is None
                 break
 
+    def test_lift_checks_the_final_cut(self):
+        # Stage 5 checks its final cut as max_parts_of_cut does: a cut edge
+        # that is not a graph edge, or two that share an endpoint, raise.
+        g, mod = pendant_farm(2, 1)
+        inst = reduce_cluster_instance(g, mod)
+        for bad in ((0, 3), (2, 3)):  # not an edge; shares vertex 2 with (0, 2)
+            leaf = next(extend_with_pendant_clusters(inst, frozenset({(0, 2)}), 1))
+            leaf.cut.add(bad)
+            with pytest.raises(ValueError, match="not an edge|not a matching"):
+                list(lift_cluster(inst, leaf, 1))
+
 
 class TestEndToEnd:
     def test_cluster_graph_all_separate(self):
@@ -463,21 +474,53 @@ class TestLiftStateEquivalence:
         assert stats["dead_leaves"] == 3
 
 
+# Two triangles {2, 3, 4} and {5, 6, 7}, each matched to modulator vertices
+# 0 and 1; rule 8 keeps the first and erases the second as its twin.
+MATCHED_TRIANGLES = Graph.from_edges(8, [
+    (2, 3), (3, 4), (2, 4), (5, 6), (6, 7), (5, 7), (0, 2), (1, 3), (0, 5), (1, 6),
+])
+
+
+class TestErasedTwinStreams:
+    """Known wrong answer.  Stage 5 offers an erased twin of three or more
+    vertices only "skip" and "full boundary cut", so the streams miss the
+    multicuts that cut the kept cluster and its twin from different hosts:
+    3 of the oracle's 5 on MATCHED_TRIANGLES and 7 of 19 on THREE_HOST_TWIN,
+    at ell 1.  The greedy modulator is larger on these graphs, so only an
+    explicit modulator shows it.  These tests pass once the twins are lifted
+    completely."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="stage 5 misses partial boundary cuts of erased twins "
+                              "with three or more vertices")
+    @pytest.mark.parametrize("g, mod", [
+        (MATCHED_TRIANGLES, frozenset({0, 1})),
+        (THREE_HOST_TWIN, frozenset({3, 4, 5})),
+    ], ids=["matched_triangles", "three_host_twin"])
+    def test_stream_equals_oracle(self, g, mod):
+        got = [c.cut_edges for c in enumerate_cluster(g, mod, 1)]
+        assert len(got) == len(set(got))
+        assert set(got) == oracle_solution_set(g, 1)
+
+
 class TestClusterLiftWork:
-    def test_one_labelling_per_stage3_cut_and_stage5_leaf(self, monkeypatch):
+    @pytest.mark.parametrize("g, ell, counts", [
+        (delay_family(20), 4, {"stage4_leaves": 7259, "dead_leaves": 0, "emitted": 7259}),
+        (caterpillar(5, 4), 3, {"stage4_leaves": 244, "dead_leaves": 0, "emitted": 3615}),
+    ], ids=["delay20", "caterpillar5x4"])
+    def test_one_labelling_per_stage3_cut(self, monkeypatch, g, ell, counts):
         # Stages 4-5 may label the whole graph once per stage-3 cut (stage
-        # 4's base labelling) and once per stage-5 leaf (its exactness
-        # check).  Relabelling every stage-4 leaf again fails this gate.
-        g = delay_family(20)
+        # 4's base labelling) and at no stage-5 leaf: a lifted leaf is read
+        # off the stage-4 parts.  A whole-graph labelling per leaf fails.
         mod = approx_cluster_modulator(g)
-        counts = Counter()
+        calls = Counter()
         reduce = enum_cluster.reduce_cluster_instance
         labels = enum_cluster.component_labels
         canonical = enum_cluster.max_parts_of_cut
         stage3 = enum_cluster.extend_with_matching_clusters
 
         def counted_labels(*args, **kwargs):
-            counts["labellings"] += 1
+            calls["labellings"] += 1
             return labels(*args, **kwargs)
 
         def counted_reduce(*args):
@@ -486,21 +529,21 @@ class TestClusterLiftWork:
             return inst
 
         def counted_canonical(graph, matching):
-            counts["labellings"] += 1
-            counts["stage5_leaves"] += 1
+            calls["labellings"] += 1
             return canonical(graph, matching)
 
         def counted_stage3(inst, core_cut):
             for cut in stage3(inst, core_cut):
-                counts["stage3_cuts"] += 1
+                calls["stage3_cuts"] += 1
                 yield cut
 
         monkeypatch.setattr(enum_cluster, "reduce_cluster_instance", counted_reduce)
         monkeypatch.setattr(enum_cluster, "max_parts_of_cut", counted_canonical)
         monkeypatch.setattr(enum_cluster, "extend_with_matching_clusters", counted_stage3)
-        solutions = sum(1 for _ in enum_cluster.enumerate_cluster(g, mod, 4))
-        assert counts["labellings"] <= counts["stage3_cuts"] + counts["stage5_leaves"]
-        assert (solutions, counts["stage5_leaves"]) == (7259, 7259)
+        stats = {}
+        solutions = sum(1 for _ in enum_cluster.enumerate_cluster(g, mod, ell, stats))
+        assert 0 < calls["labellings"] <= calls["stage3_cuts"]
+        assert stats == counts and solutions == counts["emitted"]
 
 
 class TestInvariants:

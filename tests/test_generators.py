@@ -1,11 +1,16 @@
 """Reduction compilers and their certificates."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from mmcut import generators
 from mmcut.branching import solve_decision
-from mmcut.cuts import validate_multicut
+from mmcut.cuts import ViolationReport, validate_multicut
 from mmcut.generators import (
     cross_compose_set_packing,
     cubic_test_graphs,
@@ -16,7 +21,7 @@ from mmcut.generators import (
     verify_is_reduction,
     verify_sp_reduction,
 )
-from mmcut.graphs import Graph, complete_graph
+from mmcut.graphs import Graph, InvariantError, complete_graph
 from mmcut.oracle import (
     SetPackingInstance,
     enumerate_all_multicuts,
@@ -164,3 +169,90 @@ class TestCrossComposition:
         b = SetPackingInstance(3, (frozenset({0}),), 1)
         with pytest.raises(ValueError):
             cross_compose_set_packing([a, b])
+
+
+class TestInvariants:
+    """The constructions' guarantees are checked explicitly and raise
+    InvariantError, also under ``python -O``."""
+
+    @staticmethod
+    def rejecting(graph, part_of, ell):
+        return ViolationReport("too-few-parts", ())
+
+    def test_cubic_target_not_cubic(self, monkeypatch):
+        # A gadget without its last edge leaves degree-2 vertices.
+        monkeypatch.setattr(generators, "_INDIVISIBLE_EDGES",
+                            generators._INDIVISIBLE_EDGES[:-1])
+        with pytest.raises(InvariantError, match="not cubic"):
+            reduce_is_to_mmc(cubic_test_graphs()["K4"], 1, "cubic")
+
+    def test_subcubic_target_degree_four(self, monkeypatch):
+        # Two pendant units per anchor raise the gadget stems to degree 4.
+        attach = generators._Builder.pendant_unit
+
+        def twice(self, anchor, cubic):
+            attach(self, anchor, cubic)
+            return attach(self, anchor, cubic)
+
+        monkeypatch.setattr(generators._Builder, "pendant_unit", twice)
+        with pytest.raises(InvariantError, match="degree above 3"):
+            reduce_is_to_mmc(cubic_test_graphs()["K4"], 1)
+
+    def test_is_forward_image_invalid(self, monkeypatch):
+        _target, _ell, cert = reduce_is_to_mmc(cubic_test_graphs()["K4"], 1)
+        monkeypatch.setattr(generators, "validate_multicut", self.rejecting)
+        with pytest.raises(InvariantError, match="is-to-mmc"):
+            cert.forward([0])
+
+    def test_sp_forward_image_invalid(self, monkeypatch):
+        inst = SetPackingInstance(3, (frozenset({0}), frozenset({1, 2})), 2)
+        _target, _ell, cert = reduce_set_packing_to_mmc(inst)
+        monkeypatch.setattr(generators, "validate_multicut", self.rejecting)
+        with pytest.raises(InvariantError, match="sp-to-mmc"):
+            cert.forward([0, 1])
+
+    @staticmethod
+    def tamper(monkeypatch, change):
+        """Let the composed instance pass through ``change`` first."""
+        build = generators.SetPackingInstance
+        monkeypatch.setattr(generators, "SetPackingInstance",
+                            lambda ground, family, k: build(*change(ground, family), k))
+
+    INSTANCES = [SetPackingInstance(2, (frozenset({0}), frozenset({1})), 2)] * 2
+
+    def test_composed_ground_size(self, monkeypatch):
+        self.tamper(monkeypatch, lambda ground, family: (ground + 1, family))
+        with pytest.raises(InvariantError, match="ground set"):
+            cross_compose_set_packing(self.INSTANCES)
+
+    def test_selector_size(self, monkeypatch):
+        # Selector 0 also takes ground element 0.
+        self.tamper(monkeypatch, lambda ground, family:
+                    (ground, (family[0] | {0},) + family[1:]))
+        with pytest.raises(InvariantError, match="selector set has the wrong size"):
+            cross_compose_set_packing(self.INSTANCES)
+
+    def test_selector_without_s0(self, monkeypatch):
+        # Selector 0 trades s_0 (element 2 here) for ground element 0.
+        self.tamper(monkeypatch, lambda ground, family:
+                    (ground, (family[0] - {2} | {0},) + family[1:]))
+        with pytest.raises(InvariantError, match="misses s_0"):
+            cross_compose_set_packing(self.INSTANCES)
+
+    def test_checks_run_under_optimize(self):
+        code = (
+            "from mmcut import generators\n"
+            "from mmcut.graphs import InvariantError\n"
+            "generators._INDIVISIBLE_EDGES = generators._INDIVISIBLE_EDGES[:-1]\n"
+            "k4 = generators.cubic_test_graphs()['K4']\n"
+            "try:\n"
+            "    generators.reduce_is_to_mmc(k4, 1, 'cubic')\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        # Import the package under test, wherever it was found.
+        env = {**os.environ,
+               "PYTHONPATH": str(pathlib.Path(generators.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "raised\n"

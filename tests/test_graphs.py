@@ -11,7 +11,7 @@ from mmcut.cuts import (
     Multicut,
     canonicalize,
     crossing_edges,
-    cut_is_multicut,
+    matching_edges,
     max_parts_of_cut,
     validate_multicut,
 )
@@ -218,6 +218,17 @@ class TestMaxPartsOfCut:
             assert cut.check(g, 1) is None
             assert cut.cut_edges <= frozenset(matching)
 
+    def test_rejects_non_matchings(self):
+        g = path_graph(4)
+        for bad, message in (([(0, 2)], "not an edge"), ([(1, 1)], "not an edge"),
+                             ([(0, 1), (2, 1)], "not a matching"),
+                             ([(0, 1), (1, 0)], "not a matching")):
+            with pytest.raises(ValueError, match=message):
+                max_parts_of_cut(g, bad)
+            with pytest.raises(ValueError, match=message):
+                matching_edges(g, bad)
+        assert matching_edges(g, [(1, 0), (3, 2)]) == {(0, 1), (2, 3)}
+
     def test_all_matchings_small(self):
         g = cycle_graph(6)
         edges = list(g.edges())
@@ -232,7 +243,7 @@ class TestMaxPartsOfCut:
                 seen.add(cut.cut_edges)
         # Exactly the canonical multicuts of C6 arise this way.
         assert frozenset() in seen
-        assert all(cut_is_multicut(g, m) for m in seen)
+        assert all(max_parts_of_cut(g, m).cut_edges == m for m in seen)
 
 
 class TestCanonicalBijection:
