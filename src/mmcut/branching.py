@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cuts import Multicut, _crossing_violation, canonicalize, max_parts_of_cut
-from .graphs import Graph
+from .graphs import Graph, InvariantError
 
 FREE = -1
 
@@ -630,20 +630,12 @@ def select_branch(state: PartialState) -> tuple[str, list[PartialState]]:
     return "fallback", _children(state, [((v1, p),) for p in candidates])
 
 
-class _SearchStats:
-    __slots__ = ("nodes",)
-
-    def __init__(self):
-        self.nodes = 0
-
-
-def _search(
-    state: PartialState, stats: _SearchStats
-) -> tuple[list[int], list] | None:
+def _search(state: PartialState, stats: dict) -> tuple[list[int], list] | None:
     """Witness labels below ``state`` and the (rule, moves) journal of the
-    path to them, or None.  The journal is built while unwinding from the
-    witness, so failed branches leave nothing to undo."""
-    stats.nodes += 1
+    path to them, or None; counts the nodes in ``stats["nodes"]``.  The
+    journal is built while unwinding from the witness, so failed branches
+    leave nothing to undo."""
+    stats["nodes"] += 1
     reduced, trace = apply_reduction_rules(state)
     if reduced is None or reduced.used + reduced.free_count < reduced.ell:
         return None
@@ -715,8 +707,8 @@ def solve_decision(
     ``trace_out`` collects the (rule, assignments) journal of the
     successful search path.
     """
-    if stats_out is not None:
-        stats_out["nodes"] = 0
+    stats = stats_out if stats_out is not None else {}
+    stats["nodes"] = 0
     if ell < 1:
         raise ValueError("ell must be positive")
     if graph.n == 0 or ell > graph.n:
@@ -725,10 +717,7 @@ def solve_decision(
         # Every component is a part of the cutless multicut.
         return max_parts_of_cut(graph, [])
     state = _seed_state(graph, ell)
-    stats = _SearchStats()
     found = _search(state, stats) if state is not None else None
-    if stats_out is not None:
-        stats_out["nodes"] = stats.nodes
     if found is None:
         return None
     labels, path = found
@@ -736,7 +725,7 @@ def solve_decision(
         trace_out.extend(path)
     cut = canonicalize(graph, labels)
     if cut.p < ell:
-        raise RuntimeError(f"search witness has {cut.p} parts, fewer than {ell}")
+        raise InvariantError(f"search witness has {cut.p} parts, fewer than {ell}")
     return cut
 
 

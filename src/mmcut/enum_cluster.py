@@ -8,27 +8,33 @@ group).  Stage 3 re-attaches the non-pendant held-out clusters through a
 set-packing enumeration over their neighborhoods.  Stage 4 branches over
 pendant edge clusters (and isolated edge components), the structures that
 raise the part count on demand.  Stage 5 replays the journal of erased
-structures, offering each its locally feasible cut modes.
+structures (twins and clashing simple edge clusters alike), offering each
+every matching of its edges that avoids the saturated vertices.
 
 Every emitted solution is a canonical multicut of the original graph.  The
 stream is duplicate-free because each solution has exactly one generation
 path: its core is its restriction to H, stage-3 packing choices are read
 off the held-out boundaries it cuts, and every pendant unit and erased
 structure owns its local modes, claimed under first-come saturation
-budgets.  Candidate leaves that violate global exactness (an edge whose
-endpoints remain connected) are discarded by the final validation.
+budgets.  Stage 5 is complete: every multicut cuts some matching of each
+structure's edges, and a matching is dropped only when it leaves a cut
+edge inside one part.  Candidate leaves that an earlier stage made
+inexact (an edge whose endpoints remain connected) are discarded by the
+final validation.
 
 Stages 4 and 5 share one branch state per stage-3 cut, a ``LiftState``:
 the cut, its saturated vertices, the part labelling of (G - erased
 vertices) - cut and the union-find over those parts.  Stage 4 builds it
 with one labelling and keeps it current through the pendant modes; at each
 leaf it yields the live object, and ``lift_cluster`` replays the journal
-on it in place and leaves it as it found it.  Each lifted leaf's multicut
-is read off the stage-4 labelling, joined through the uncut edges at the
-erased vertices, with no whole-graph labelling.  The state is valid only
-until stage 4 resumes.  A stage-5 generator closed before it is exhausted
-leaves the state dirty; that is safe only because whoever closes it closes
-the stage-4 generator along with it, as ``enumerate_cluster`` does.
+on it in place and leaves it as it found it.  Stage 5 gives each erased
+vertex a part id as it places the vertex's structure, and joins ids
+through the uncut edges, so at a lifted leaf the union-find roots label
+the components of G - cut with no whole-graph labelling.  The state is
+valid only until stage 4 resumes.  A stage-5 generator closed before it is
+exhausted leaves the state dirty; that is safe only because whoever closes
+it closes the stage-4 generator along with it, as ``enumerate_cluster``
+does.
 """
 
 from __future__ import annotations
@@ -72,23 +78,35 @@ class PendantUnit:
 
 
 @dataclass(frozen=True)
-class TwinEntry:
-    """Erased duplicate of a kept matching cluster."""
+class ErasedStructure:
+    """A cluster that stage 1 erased: the twin of a kept matching cluster
+    (rules 8-9) or a simple edge cluster whose modulator edges clash (rule
+    6).  ``edges`` are the original graph's edges at its vertices, internal
+    edges first, then the boundary edges in host order."""
 
     vertices: tuple[int, ...]
-    nbrs: tuple[int, ...]
-    edge_at: tuple[tuple[int, Edge], ...]  # per neighbor w: this twin's edge
-    internal_edge: Edge | None  # only for two-vertex twins
+    edges: tuple[Edge, ...]
 
+    @cached_property
+    def modes(self) -> tuple[tuple[tuple[Edge, ...], tuple[Edge, ...], set[int]], ...]:
+        """``(cut, uncut, ends)`` for every matching ``cut`` of ``edges``,
+        with the other edges and the cut's endpoints: the empty matching
+        first (the structure stays whole), then the rest with each edge
+        taken before it is left out."""
+        def matchings(edges: tuple[Edge, ...]) -> Iterator[tuple[Edge, ...]]:
+            if not edges:
+                yield ()
+                return
+            (a, b), rest = edges[0], edges[1:]
+            for m in matchings(tuple(e for e in rest if a not in e and b not in e)):
+                yield ((a, b),) + m
+            yield from matchings(rest)
 
-@dataclass(frozen=True)
-class SimpleEdgeEntry:
-    """Simple edge cluster erased because its modulator edges clash."""
-
-    u: int
-    v: int
-    u_hosts: tuple[int, ...]  # N(u) inside the modulator
-    v_hosts: tuple[int, ...]
+        ordered = list(matchings(self.edges))
+        return tuple(
+            (cut, tuple(e for e in self.edges if e not in cut), _saturated(cut))
+            for cut in [ordered.pop()] + ordered
+        )
 
 
 @dataclass
@@ -101,7 +119,7 @@ class ClusterInstance:
     h_vertices: tuple[int, ...]
     held: tuple[HeldCluster, ...]
     pendants: tuple[PendantUnit, ...]
-    lift_entries: tuple[object, ...]  # TwinEntry / SimpleEdgeEntry, in order
+    lift_entries: tuple[ErasedStructure, ...]  # in journal order
     blue: frozenset[tuple[int, ...]]
     journal: tuple[tuple, ...] = field(default_factory=tuple)
 
@@ -110,35 +128,7 @@ class ClusterInstance:
         """Vertices of the erased structures.  Stages 4 and 5 evaluate their
         conditions on the components of (G - these) - cut: erased structures
         would otherwise bridge parts they are not yet committed to."""
-        out: set[int] = set()
-        for entry in self.lift_entries:
-            if isinstance(entry, SimpleEdgeEntry):
-                out.update((entry.u, entry.v))
-            else:
-                out.update(entry.vertices)
-        return frozenset(out)
-
-    @cached_property
-    def erased_leaves(self) -> tuple[tuple[int, Edge, int], ...]:
-        """``(v, edge, w)`` for every erased vertex v whose one edge goes to
-        a vertex w that is not erased.  Stage 5 cuts only edges with an
-        erased endpoint, so the rest of G - cut keeps the stage-4 parts, and
-        v joins the part of w unless the edge is cut."""
-        adj = self.graph.adj
-        erased = self.lift_vertices
-        return tuple(
-            (v, _edge(v, adj[v][0]), adj[v][0]) for v in sorted(erased)
-            if len(adj[v]) == 1 and adj[v][0] not in erased
-        )
-
-    @cached_property
-    def erased_edges(self) -> tuple[Edge, ...]:
-        """The other edges of G with an erased endpoint."""
-        adj = self.graph.adj
-        leaves = {v for v, _e, _w in self.erased_leaves}
-        return tuple(sorted(
-            {_edge(u, v) for u in self.lift_vertices - leaves for v in adj[u]}
-        ))
+        return frozenset(v for s in self.lift_entries for v in s.vertices)
 
     def foreign_edges(self) -> frozenset[Edge]:
         """Edges of the reduced graph absent from the original one."""
@@ -180,7 +170,7 @@ class _Reducer:
         self.alive: set[int] = set(range(graph.n))
         self.mono: list[set[int]] = [{u} for u in sorted(modulator)]
         self.journal: list[tuple] = []
-        self.lift_entries: list[object] = []
+        self.erased: list[tuple[int, ...]] = []  # lifted by stage 5
         self.pendant_twins: list[PendantUnit] = []
         self.blue: set[tuple[int, ...]] = set()
         self.clusters: list[tuple[int, ...]] = []
@@ -376,10 +366,9 @@ class _Reducer:
             u_hosts, v_hosts = hosts
             if len(u_hosts) <= 1 and len(v_hosts) <= 1:
                 continue  # forms a matching with the modulator
-            u, v = cluster
-            self.lift_entries.append(SimpleEdgeEntry(u, v, u_hosts, v_hosts))
-            self.remove_vertex(u, "rule6")
-            self.remove_vertex(v, "rule6")
+            self.erased.append(cluster)
+            for v in cluster:
+                self.remove_vertex(v, "rule6")
             return True
         return False
 
@@ -427,12 +416,7 @@ class _Reducer:
             free = next(v for v in victim if v != attached)
             self.pendant_twins.append(PendantUnit(attached, free, w, False))
             return
-        edge_at = tuple(
-            (w, _edge(w, next(v for v in victim if w in self.adj[v])))
-            for w in nbrs
-        )
-        internal = _edge(*victim) if size == 2 else None
-        self.lift_entries.append(TwinEntry(victim, nbrs, edge_at, internal))
+        self.erased.append(victim)
 
 
 def _structure_checks(red: _Reducer) -> None:
@@ -528,7 +512,7 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
         h_vertices=tuple(sorted(h_vertices)),
         held=tuple(held),
         pendants=tuple(pendants),
-        lift_entries=tuple(red.lift_entries),
+        lift_entries=tuple(_erased_structure(graph, vs) for vs in red.erased),
         blue=frozenset(red.blue),
         journal=tuple(red.journal),
     )
@@ -536,17 +520,35 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
     bound = r + (r + 6 * (r * (r - 1) // 2)) * (r + 3) + 10 * (r * (r - 1) // 2)
     if len(inst.h_vertices) > max(bound, 1):
         raise InvariantError("core instance too large")
-    _check_pendant_units(inst)
+    _check_lift_conditions(inst)
     return inst
 
 
-def _check_pendant_units(inst: ClusterInstance) -> None:
-    """Every pendant unit must hang off its host alone in G minus the erased
-    vertices: N(free) within {attached}, N(attached) within {free, host}.
-    Stage 4 relabels only the unit's two vertices on a cut, which keeps the
-    part labelling exact only under this condition."""
+def _erased_structure(graph: Graph, vertices: tuple[int, ...]) -> ErasedStructure:
+    """The structure on ``vertices`` with its edges in ``graph``, ordered as
+    ``ErasedStructure`` states."""
+    inside = set(vertices)
+    adj = graph.adj
+    internal = sorted({_edge(v, u) for v in vertices for u in adj[v] if u in inside})
+    boundary = sorted((w, v) for v in vertices for w in adj[v] if w not in inside)
+    return ErasedStructure(
+        tuple(vertices), tuple(internal) + tuple(_edge(v, w) for w, v in boundary)
+    )
+
+
+def _check_lift_conditions(inst: ClusterInstance) -> None:
+    """No edge joins two erased structures: stage 5 labels a structure's
+    vertices through its edges, so the other end of each must already be
+    labelled.  Every pendant unit must hang off its host alone in G minus
+    the erased vertices: N(free) within {attached}, N(attached) within
+    {free, host}.  Stage 4 relabels only the unit's two vertices on a cut,
+    which keeps the part labelling exact only under this condition."""
     adj = inst.graph.adj
     erased = inst.lift_vertices
+    for s in inst.lift_entries:
+        if any(u in erased for e in s.edges for u in e if u not in s.vertices):
+            raise InvariantError(
+                f"erased structure {s.vertices} has an edge to another")
     for unit in inst.pendants:
         if any(u != unit.attached and u not in erased for u in adj[unit.free]) or any(
             u not in (unit.free, unit.host) and u not in erased
@@ -617,12 +619,12 @@ def extend_with_matching_clusters(
 
 
 class _LiftParts:
-    """Union-find over the exclusion-partition part ids, with undo.
+    """Union-find over the part ids, with undo.
 
-    Re-adding an erased structure uncut may merge the parts its endpoints
-    hang from; the merge is feasible unless some current cut edge runs
-    between the two parts (it would stop separating).  Fresh ids are
-    allocated for new singleton parts created by cut modes.
+    Re-adding an erased structure's uncut edges may merge the parts they
+    join; the merge is feasible unless some current cut edge runs between
+    the two parts (it would stop separating).  Fresh ids are allocated for
+    new parts created by cut modes and for erased vertices.
     """
 
     def __init__(self, count: int):
@@ -676,8 +678,8 @@ class LiftState:
 
     ``cut`` holds the cut edges and ``saturated`` their endpoints.
     ``part_of`` labels the components of (G - erased vertices) - cut, -1 on
-    the erased vertices; the labels are ids of ``parts``, which records
-    one pair per cut edge."""
+    the erased vertices that stage 5 has not placed; the labels are ids of
+    ``parts``, which records one pair per cut edge."""
 
     cut: set[Edge]
     saturated: set[int]
@@ -752,16 +754,17 @@ def lift_cluster(
     stats_out: dict | None = None,
 ) -> Iterator[Multicut]:
     """Stage 5: replay the journal of erased structures in order on a
-    stage-4 leaf's live state, branching over each one's locally feasible
-    cut modes, and emit the canonical multicuts of the original graph that
-    reach the target part count.  Once exhausted it leaves ``leaf`` as it
-    found it.  Leaves whose cut is not exact are dropped; when
-    ``stats_out`` is given they are counted in ``stats_out["dead_leaves"]``
-    and the emitted multicuts in ``stats_out["emitted"]``."""
+    stage-4 leaf's live state, offering each structure every matching of
+    its edges that the state allows, and emit the canonical multicuts of
+    the original graph that reach the target part count.  Once exhausted it
+    leaves ``leaf`` as it found it.  Leaves whose cut is not exact are
+    dropped; when ``stats_out`` is given they are counted in
+    ``stats_out["dead_leaves"]`` and the emitted multicuts in
+    ``stats_out["emitted"]``."""
     for final in _replay(inst, leaf, 0):
         out = _leaf_multicut(inst, leaf, final)
         if out.cut_edges != final:
-            # Uncut structures joined the endpoints of a cut edge.
+            # An earlier stage cut an edge inside one part.
             if stats_out is not None:
                 stats_out["dead_leaves"] += 1
             continue
@@ -777,11 +780,12 @@ def _leaf_multicut(
     """The canonical multicut whose parts are the components of G - final,
     as ``max_parts_of_cut`` gives it, without labelling the whole graph.
 
-    Every edge stage 5 adds to the cut touches an erased vertex, so the
-    components of G - final are the stage-4 parts of ``leaf.part_of``
-    joined through the uncut erased edges."""
+    At a stage-5 leaf every vertex has an id in ``leaf.part_of``, and the
+    union-find sets of those ids are the components of G - final."""
     matching_edges(inst.graph, final)
-    labels = _joined_labels(inst, leaf, final)
+    labels = leaf.part_of
+    if leaf.parts.trail:  # some uncut structure joined two parts
+        labels = map(leaf.parts.find, labels)
     # Number the parts by first appearance in vertex order.
     index: dict[int, int] = {}
     part_of = tuple([index.setdefault(x, len(index)) for x in labels])
@@ -789,181 +793,79 @@ def _leaf_multicut(
     return Multicut(part_of, len(index), crossing)
 
 
-def _joined_labels(
-    inst: ClusterInstance, leaf: LiftState, final: set[Edge]
-) -> list[int]:
-    """A label per vertex, equal exactly on the components of G - final.
-
-    ``erased_edges`` are joined by a union-find whose nodes are the
-    stage-4 part ids and, after them, one id per erased vertex; each root
-    is the smallest id of its set.  Each erased leaf then takes the label
-    of its neighbour, or one of its own when its edge is cut."""
-    labels = leaf.part_of.copy()
-    if inst.erased_edges:
-        base = len(leaf.parts.parent)  # above every part id of stage 4
-        for i, v in enumerate(inst.lift_vertices, base):
-            labels[v] = i
-        parent = list(range(base + len(inst.lift_vertices)))
-        linked = []
-        for e in inst.erased_edges:
-            if e in final:
-                continue
-            a, b = labels[e[0]], labels[e[1]]
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                parent[b] = a
-                linked.append(b)
-        if linked:
-            # Each link points to a smaller id, so in ascending order one
-            # step reaches the root.
-            linked.sort()
-            for x in linked:
-                parent[x] = parent[parent[x]]
-            labels = list(map(parent.__getitem__, labels))
-    for v, e, w in inst.erased_leaves:
-        labels[v] = -1 - v if e in final else labels[w]  # no part id is negative
-    return labels
-
-
 def _replay(
     inst: ClusterInstance, leaf: LiftState, idx: int
 ) -> Iterator[set[Edge]]:
     """Stage 5's recursion from journal entry ``idx`` on: yields the live
-    cut at every leaf."""
+    cut at every leaf.  Each structure is offered its matchings that avoid
+    the saturated vertices, and keeps those that ``_place`` accepts."""
     if idx == len(inst.lift_entries):
         yield leaf.cut
         return
-    entry = inst.lift_entries[idx]
-    if isinstance(entry, SimpleEdgeEntry):
-        yield from _simple_modes(inst, leaf, entry, idx)
-    else:
-        yield from _twin_modes(inst, leaf, entry, idx)
-
-
-def _with_cut(
-    inst: ClusterInstance, leaf: LiftState, edges_pairs, idx: int
-) -> Iterator[set[Edge]]:
-    """Add cut edges (with their part pairs), recurse, undo."""
-    uf = leaf.parts
-    mark = uf.mark()
-    ends = []
-    for edge, pa, pb in edges_pairs:
-        leaf.cut.add(edge)
-        ends.extend(edge)
-        uf.record_cut(edge, pa, pb)
-    leaf.saturated.update(ends)
-    yield from _replay(inst, leaf, idx + 1)
-    leaf.saturated.difference_update(ends)
-    for edge, _pa, _pb in edges_pairs:
-        leaf.cut.discard(edge)
-    uf.rollback(mark)
-
-
-def _simple_modes(
-    inst: ClusterInstance, leaf: LiftState, entry: SimpleEdgeEntry, idx: int
-) -> Iterator[set[Edge]]:
-    uf, part_of = leaf.parts, leaf.part_of
-    pu = part_of[entry.u_hosts[0]] if entry.u_hosts else None
-    pv = part_of[entry.v_hosts[0]] if entry.v_hosts else None
-    # Stay uncut: the structure bridges its two host sides, merging
-    # their parts if no cut edge runs between them.
-    if pu is None or pv is None or uf.find(pu) == uf.find(pv):
-        yield from _replay(inst, leaf, idx + 1)
-    elif not uf.blocked_merge(pu, pv):
-        mark = uf.mark()
-        uf.union(pu, pv)
-        yield from _replay(inst, leaf, idx + 1)
-        uf.rollback(mark)
-    # Internal cut: endpoints part ways with their host sides.
-    if (
-        inst.graph.has_edge(entry.u, entry.v)
-        and (pu is None or pv is None or uf.find(pu) != uf.find(pv))
-    ):
-        mark = uf.mark()
-        pa = pu if pu is not None else uf.fresh()
-        pb = pv if pv is not None else uf.fresh()
-        yield from _with_cut(inst, leaf, [(_edge(entry.u, entry.v), pa, pb)], idx)
-        uf.rollback(mark)
-    # Single host-edge cuts, only available for a one-host endpoint;
-    # the pair lands in the other side's part (or a new one).
-    for a, a_hosts, pa, pb in (
-        (entry.u, entry.u_hosts, pu, pv),
-        (entry.v, entry.v_hosts, pv, pu),
-    ):
-        if len(a_hosts) != 1:
-            continue
-        w = a_hosts[0]
-        if w in leaf.saturated:
-            continue
-        if pb is not None and uf.find(pa) == uf.find(pb):
+    structure = inst.lift_entries[idx]
+    uf, part_of, cut, saturated = leaf.parts, leaf.part_of, leaf.cut, leaf.saturated
+    for cut_edges, uncut, ends in structure.modes:
+        if not saturated.isdisjoint(ends):
             continue
         mark = uf.mark()
-        side = pb if pb is not None else uf.fresh()
-        yield from _with_cut(inst, leaf, [(_edge(a, w), side, pa)], idx)
+        if _place(structure.vertices, cut_edges, uncut, part_of, uf):
+            cut.update(cut_edges)
+            saturated.update(ends)
+            yield from _replay(inst, leaf, idx + 1)
+            saturated.difference_update(ends)
+            cut.difference_update(cut_edges)
         uf.rollback(mark)
+        for v in structure.vertices:
+            part_of[v] = -1
 
 
-def _twin_modes(
-    inst: ClusterInstance, leaf: LiftState, entry: TwinEntry, idx: int
-) -> Iterator[set[Edge]]:
-    uf, part_of, saturated = leaf.parts, leaf.part_of, leaf.saturated
-    # Skip: the twin hangs uncut from its hosts, merging their parts.
-    host_parts = sorted({part_of[w] for w in entry.nbrs})
-    if len(host_parts) > 2:
-        # Only two of the parts are used: those with the smallest
-        # vertices, as a labelling numbered by smallest vertex orders
-        # them (the pendant modes' fresh ids are not in that order).
-        host_parts.sort(key=part_of.index)
-    if len(host_parts) == 1 or uf.find(host_parts[0]) == uf.find(host_parts[1]):
-        yield from _replay(inst, leaf, idx + 1)
-    elif not uf.blocked_merge(host_parts[0], host_parts[1]):
-        mark = uf.mark()
-        uf.union(host_parts[0], host_parts[1])
-        yield from _replay(inst, leaf, idx + 1)
-        uf.rollback(mark)
-    split = (
-        len(host_parts) == 2
-        and uf.find(host_parts[0]) != uf.find(host_parts[1])
-    )
-    p_at = {w: part_of[w] for w, _e in entry.edge_at}
-    # Internal cut of a two-vertex twin needs its hosts split apart.
-    if entry.internal_edge is not None and split:
-        (w1, _e1), (w2, _e2) = entry.edge_at
-        yield from _with_cut(
-            inst, leaf, [(entry.internal_edge, p_at[w1], p_at[w2])], idx
-        )
-    # Full boundary cut: the twin becomes its own part.
-    if all(w not in saturated for w, _e in entry.edge_at):
-        mark = uf.mark()
-        own = uf.fresh()
-        yield from _with_cut(
-            inst, leaf, [(e, own, p_at[w]) for w, e in entry.edge_at], idx
-        )
-        uf.rollback(mark)
-    # Half cuts for two-vertex twins whose hosts sit in different parts.
-    if entry.internal_edge is not None and split:
-        others = {w: o for (w, _e), (o, _e2) in
-                  zip(entry.edge_at, reversed(entry.edge_at))}
-        for w, e in entry.edge_at:
-            if w in saturated:
-                continue
-            yield from _with_cut(inst, leaf, [(e, p_at[others[w]], p_at[w])], idx)
+def _place(
+    vertices: tuple[int, ...], cut_edges: tuple[Edge, ...], uncut: tuple[Edge, ...],
+    part_of: list[int], uf: _LiftParts,
+) -> bool:
+    """Label an erased structure's vertices in ``part_of`` and record its
+    cut edges in ``uf``; False if that makes some cut edge inexact.
+
+    A vertex takes the id of the first labelled end of its uncut edges, or
+    a fresh id; an uncut edge between two labelled sets joins them unless
+    a recorded cut edge runs between the two.  Then every cut edge must
+    run between two sets.  The caller rolls ``uf`` back either way."""
+    for a, b in uncut:
+        pa, pb = part_of[a], part_of[b]
+        if pa < 0 and pb < 0:
+            part_of[a] = part_of[b] = uf.fresh()
+        elif pa < 0:
+            part_of[a] = pb
+        elif pb < 0:
+            part_of[b] = pa
+        elif uf.find(pa) != uf.find(pb):
+            if uf.blocked_merge(pa, pb):
+                return False
+            uf.union(pa, pb)
+    for v in vertices:
+        if part_of[v] < 0:
+            part_of[v] = uf.fresh()
+    for a, b in cut_edges:
+        pa, pb = part_of[a], part_of[b]
+        if uf.find(pa) == uf.find(pb):
+            return False
+        uf.record_cut((a, b), pa, pb)
+    return True
 
 
 def _lift_part_potential(inst: ClusterInstance) -> int:
-    """Upper bound on parts stage 5 can still add: one per erased twin
-    (full boundary cut) plus one per erased simple edge cluster with an
-    unattached endpoint (singleton via the internal cut)."""
+    """Upper bound on parts stage 5 can still add: one per erased structure
+    that has a vertex without modulator edges or none with two (every twin,
+    and a simple edge cluster with an unattached endpoint).  In the other
+    simple edge clusters one endpoint keeps a modulator edge under any
+    matching, and the other keeps its modulator edge or the edge to the
+    first, so neither can form a new part."""
+    mod = inst.modulator
     out = 0
-    for e in inst.lift_entries:
-        if isinstance(e, TwinEntry):
-            out += 1
-        elif not e.u_hosts or not e.v_hosts:
+    for s in inst.lift_entries:
+        seen = [sum(1 for e in s.edges if v in e and not mod.isdisjoint(e))
+                for v in s.vertices]
+        if min(seen) == 0 or max(seen) <= 1:
             out += 1
     return out
 

@@ -19,7 +19,7 @@ from mmcut.branching import (
     solve_max,
 )
 from mmcut.cuts import Multicut, canonicalize, validate_multicut
-from mmcut.graphs import Graph, complete_graph, cycle_graph, path_graph
+from mmcut.graphs import Graph, InvariantError, complete_graph, cycle_graph, path_graph
 from mmcut.oracle import max_parts
 
 from conftest import random_graph
@@ -229,6 +229,29 @@ class TestSolve:
         stats = {}
         solve_decision(cycle_graph(8), 3, stats_out=stats)
         assert stats["nodes"] >= 1
+
+    def test_node_count_is_search_calls(self, monkeypatch):
+        # "nodes" counts the search's calls, itself included.
+        calls = collections.Counter()
+        search = branching._search
+
+        def counted(state, stats):
+            calls["search"] += 1
+            return search(state, stats)
+
+        monkeypatch.setattr(branching, "_search", counted)
+        for g, ell in ((cycle_graph(9), 4), (path_graph(10), 5), (complete_graph(4), 2)):
+            calls.clear()
+            stats = {"nodes": 99}
+            solve_decision(g, ell, stats_out=stats)
+            assert stats["nodes"] == calls["search"] >= 1
+
+    def test_short_witness_raises(self, monkeypatch):
+        # A witness with fewer parts than asked for is a broken invariant.
+        g = cycle_graph(8)
+        monkeypatch.setattr(branching, "_search", lambda state, stats: ([0] * g.n, []))
+        with pytest.raises(InvariantError, match="1 parts, fewer than 3"):
+            solve_decision(g, 3)
 
     def test_pendant_heavy_graph(self):
         # Star of paths: many pendants, distinct hosts.

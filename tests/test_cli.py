@@ -347,6 +347,8 @@ GOLDEN_CASES = {
     "enumerate-cluster-modulator":
         "enumerate --ell 3 --modulator '1 2 3 4 5' {I}/caterpillar.gr",
     "enumerate-cluster-isolated": "enumerate --ell 4 {I}/isolated.gr",
+    "enumerate-cluster-twin":
+        "enumerate --param cluster --modulator '1 2' --ell 1 {I}/matched_triangles.gr",
     "enumerate-cluster-empty": "enumerate --param cluster --ell 3 {I}/petersen.gr",
     "enumerate-not-a-modulator": "enumerate --param vc --ell 2 --modulator 1 {I}/c6.gr",
     "kernelize-solved": "kernelize --subcubic --ell 3 --output {T}/kernel.gr {I}/isolated.gr",

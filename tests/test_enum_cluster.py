@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 from mmcut import enum_cluster
 from mmcut.enum_cluster import (
     ClusterInstance,
+    ErasedStructure,
     PendantUnit,
     _lift_part_potential,
     _Reducer,
@@ -99,8 +101,8 @@ class TestReduce:
         g = Graph.from_edges(7, edges)
         inst = reduce_cluster_instance(g, frozenset({0, 1}))
         assert len(inst.mono) == 1
-        kinds = [type(e).__name__ for e in inst.lift_entries]
-        assert "SimpleEdgeEntry" in kinds
+        # Its edges: the internal one, then the boundary in host order.
+        assert inst.lift_entries == (ErasedStructure((2, 3), ((2, 3), (0, 2), (1, 2))),)
 
     def test_rule8_twin_erasure_and_blue(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
@@ -275,17 +277,31 @@ class TestEndToEnd:
                 assert len(got) == len(set(got)) and set(got) == want
 
     def test_inexact_leaves_are_dropped_and_counted(self):
-        # Two stage-5 leaves cut an edge whose endpoints an uncut erased
-        # structure joins again; the final check drops both.
+        # Rules 3 and 5 rewire the core, so the core cut {01, 45} separates
+        # the reduced graph but leaves 4 and 5 joined in G; the final check
+        # drops that leaf.
+        g = Graph.from_edges(6, [(0, 1), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5),
+                                 (3, 5), (4, 5)])
+        stats = {}
+        got = [c.cut_edges for c in enumerate_cluster(g, frozenset({0, 1, 5}), 1,
+                                                      stats_out=stats)]
+        assert stats == {"dead_leaves": 1, "stage4_leaves": 2, "emitted": len(got)}
+        assert len(got) == len(set(got)) and set(got) == oracle_solution_set(g, 1)
+        stats = {}
+        list(enumerate_cluster(g, frozenset({0, 1, 5}), 9, stats_out=stats))
+        assert stats == {"dead_leaves": 0, "stage4_leaves": 0, "emitted": 0}
+
+    def test_stage5_drops_inexact_joins_itself(self):
+        # Every matching of the erased edge cluster {2, 4}'s edges that
+        # avoids a cut host leaves a path between hosts 1 and 3.  On the
+        # core cuts that separate 1 from 3 stage 5 drops every mode itself,
+        # so no leaf is dead.
         g = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)])
         stats = {}
         got = [c.cut_edges for c in enumerate_cluster(g, frozenset({0, 1, 3}), 1,
                                                       stats_out=stats)]
-        assert stats == {"dead_leaves": 2, "stage4_leaves": 3, "emitted": len(got)}
+        assert stats == {"dead_leaves": 0, "stage4_leaves": 3, "emitted": len(got)}
         assert len(got) == len(set(got)) and set(got) == oracle_solution_set(g, 1)
-        stats = {}
-        list(enumerate_cluster(g, frozenset({0, 1, 3}), 9, stats_out=stats))
-        assert stats == {"dead_leaves": 0, "stage4_leaves": 0, "emitted": 0}
 
     def test_large_instance_streams(self):
         # Far beyond oracle reach: check stream validity and uniqueness of a
@@ -360,10 +376,7 @@ class TestStageExamples:
                  (4, 5), (5, 6), (4, 6), (0, 4), (0, 5), (1, 5), (1, 6)]
         g = Graph.from_edges(8, edges)
         inst = reduce_cluster_instance(g, frozenset({0, 1, 7}))
-        simple = [
-            e for e in inst.lift_entries if type(e).__name__ == "SimpleEdgeEntry"
-        ]
-        assert len(simple) == 1
+        assert [s.vertices for s in inst.lift_entries] == [(2, 3)]
         want = oracle_solution_set(g, 1)
         got = {c.cut_edges for c in enumerate_cluster(g, frozenset({0, 1, 7}), 1)}
         assert got == want
@@ -428,16 +441,15 @@ THREE_HOST_TWIN = Graph.from_edges(12, [
 
 class TestLiftStateEquivalence:
     """Stages 4-5 over the live leaf state give the same stream, in the same
-    order and with the same dead leaves, as the reference stages that
-    relabel the graph by BFS at every leaf."""
+    order, as the reference stages that relabel the graph by BFS at every
+    leaf and offer every erased structure all its matchings."""
 
     def assert_same(self, g, mod, ells):
         for ell in ells:
-            stats, ref_stats = {}, {}
+            stats = {}
             got = list(enumerate_cluster(g, mod, ell, stats))
-            want = list(enumerate_cluster_bfs(g, mod, ell, ref_stats))
+            want = list(enumerate_cluster_bfs(g, mod, ell))
             assert got == want, (g.n, sorted(g.edges()), sorted(mod), ell)
-            assert stats["dead_leaves"] == ref_stats["dead_leaves"]
             assert stats["emitted"] == len(got)
             if ell <= g.n:
                 assert checked_stream(g, mod, ell) == (got, stats["dead_leaves"])
@@ -462,16 +474,25 @@ class TestLiftStateEquivalence:
             g = caterpillar(spine, legs)
             self.assert_same(g, approx_cluster_modulator(g), (1, 3))
 
+    def test_matched_cluster_family(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            g, mod = matched_cluster_graph(rng)
+            self.assert_same(g, mod, (1, 2, 3))
+
     def test_twin_with_three_host_parts(self):
         g = THREE_HOST_TWIN
         mod = frozenset({3, 4, 5})
         inst = reduce_cluster_instance(g, mod)
-        assert [len(e.nbrs) for e in inst.lift_entries] == [3]
+        assert inst.lift_entries == (ErasedStructure(
+            (9, 10, 11), ((9, 10), (9, 11), (10, 11), (3, 9), (4, 10), (5, 11))),)
         assert len(inst.mono) == 3 and len(inst.pendants) == 1
         self.assert_same(g, mod, (1, 2, 3, 4, 5))
-        stats = {}
-        list(enumerate_cluster(g, mod, 1, stats))
-        assert stats["dead_leaves"] == 3
+        # Its uncut modes join all three host parts, each join checked.
+        for ell in (1, 2, 3, 4, 5):
+            stats = {}
+            list(enumerate_cluster(g, mod, ell, stats))
+            assert stats["dead_leaves"] == 0
 
 
 # Two triangles {2, 3, 4} and {5, 6, 7}, each matched to modulator vertices
@@ -481,26 +502,65 @@ MATCHED_TRIANGLES = Graph.from_edges(8, [
 ])
 
 
-class TestErasedTwinStreams:
-    """Known wrong answer.  Stage 5 offers an erased twin of three or more
-    vertices only "skip" and "full boundary cut", so the streams miss the
-    multicuts that cut the kept cluster and its twin from different hosts:
-    3 of the oracle's 5 on MATCHED_TRIANGLES and 7 of 19 on THREE_HOST_TWIN,
-    at ell 1.  The greedy modulator is larger on these graphs, so only an
-    explicit modulator shows it.  These tests pass once the twins are lifted
-    completely."""
+def matched_cluster_graph(rng) -> tuple[Graph, frozenset]:
+    """A modulator of 1-4 independent vertices and cliques of 1-3
+    vertices, each clique vertex joined to 0-2 modulator vertices, n <= 12;
+    with the modulator.  A clique's vertices take distinct modulator
+    vertices while there are any left, so most cliques are matched to the
+    modulator, and half of the cliques after the first copy the modulator
+    edges of an earlier one, which makes twins."""
+    r = rng.randint(1, 4)
+    edges, n, shapes = [], r, []
+    while True:
+        if shapes and rng.random() < 0.5:
+            hosts = rng.choice(shapes)
+        else:
+            pool = rng.sample(range(r), r)
+            hosts = []
+            for _ in range(rng.randint(1, 3)):
+                take = rng.choice((0, 1, 1, 2))
+                hosts.append(pool[:take])
+                pool = pool[take:]
+        if n + len(hosts) > 12 or (shapes and rng.random() < 0.2):
+            break
+        shapes.append(hosts)
+        clique = range(n, n + len(hosts))
+        edges += [(a, b) for a in clique for b in clique if a < b]
+        edges += [(w, v) for v, ws in zip(clique, hosts) for w in ws]
+        n += len(hosts)
+    return Graph.from_edges(n, edges), frozenset(range(r))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="stage 5 misses partial boundary cuts of erased twins "
-                              "with three or more vertices")
+
+class TestErasedTwinStreams:
+    """Erased twins of three or more vertices.  Stage 5 must offer their
+    partial boundary cuts too: the multicuts that cut the kept cluster and
+    its twin from different hosts.  The greedy modulator is larger on these
+    graphs, so only an explicit modulator reaches them."""
+
     @pytest.mark.parametrize("g, mod", [
         (MATCHED_TRIANGLES, frozenset({0, 1})),
         (THREE_HOST_TWIN, frozenset({3, 4, 5})),
     ], ids=["matched_triangles", "three_host_twin"])
     def test_stream_equals_oracle(self, g, mod):
-        got = [c.cut_edges for c in enumerate_cluster(g, mod, 1)]
+        stats = {}
+        got = [c.cut_edges for c in enumerate_cluster(g, mod, 1, stats)]
         assert len(got) == len(set(got))
         assert set(got) == oracle_solution_set(g, 1)
+        assert stats["dead_leaves"] == 0
+
+    def test_matched_cluster_family(self):
+        rng = random.Random(13)
+        twins = 0
+        for _ in range(300):
+            g, mod = matched_cluster_graph(rng)
+            inst = reduce_cluster_instance(g, mod)
+            twins += any(len(s.vertices) >= 3 for s in inst.lift_entries)
+            for ell in (1, 2, 3):
+                got = [c.cut_edges for c in enumerate_cluster(g, mod, ell)]
+                assert len(got) == len(set(got)), "duplicate emission"
+                assert set(got) == oracle_solution_set(g, ell), (
+                    g.n, sorted(g.edges()), sorted(mod), ell)
+        assert twins >= 30
 
 
 class TestClusterLiftWork:
@@ -547,8 +607,8 @@ class TestClusterLiftWork:
 
 
 class TestInvariants:
-    """Stage 1's structure bounds and the pendant-unit condition stage 4
-    relies on raise InvariantError, also under ``python -O``.  Each test
+    """Stage 1's structure bounds and the conditions stages 4 and 5 rely
+    on raise InvariantError, also under ``python -O``.  Each test
     disables the rules that keep its bound."""
 
     @staticmethod
@@ -608,6 +668,19 @@ class TestInvariants:
             lambda attached, free, host, kept: PendantUnit(free, attached, host, kept))
         with pytest.raises(InvariantError, match="is not pendant"):
             reduce_cluster_instance(g, mod)
+
+    def test_erased_structures_share_an_edge(self, monkeypatch):
+        # Split the erased twin {5, 6, 7} of MATCHED_TRIANGLES in two.
+        run = _Reducer.run
+
+        def split_run(red):
+            run(red)
+            assert red.erased == [(5, 6, 7)]
+            red.erased = [(5,), (6, 7)]
+
+        monkeypatch.setattr(_Reducer, "run", split_run)
+        with pytest.raises(InvariantError, match=r"\(5,\) has an edge to another"):
+            reduce_cluster_instance(MATCHED_TRIANGLES, frozenset({0, 1}))
 
     def test_checks_run_under_optimize(self):
         code = (
