@@ -29,35 +29,10 @@ vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cuts import Multicut, _crossing_violation, canonicalize, max_parts_of_cut
 from .graphs import Graph, InvariantError
 
 FREE = -1
-
-@dataclass
-class RuleTrace:
-    """Journal of rule applications: (rule id, ((vertex, part), ...)).
-
-    Replaying the assignments from the initial state reproduces the final
-    state; stopping rules appear with an empty assignment tuple.
-    """
-
-    applications: list[tuple[str, tuple[tuple[int, int], ...]]] = field(
-        default_factory=list
-    )
-
-    def record(self, rule: str, assigned: tuple[tuple[int, int], ...]) -> None:
-        self.applications.append((rule, assigned))
-
-    def replay(self, state: "PartialState") -> "PartialState":
-        out = state.copy()
-        for _rule, assigned in self.applications:
-            for v, p in assigned:
-                if not out.assign_vertex(v, p):
-                    raise ValueError("trace replay hit an invalid assignment")
-        return out
 
 
 class PartialState:
@@ -300,29 +275,29 @@ def _find_r7(
 
 def apply_reduction_rules(
     state: PartialState,
-) -> tuple[PartialState | None, RuleTrace]:
+) -> tuple[PartialState | None, list[tuple[str, tuple[tuple[int, int], ...]]]]:
     """Run S/R rules to a fixed point.
 
     Returns (reduced state, trace), or (None, trace) when a stopping rule
-    fires; the trace then ends with the stopping rule's id.
+    fires.  The trace lists the rule applications as (rule id, ((vertex,
+    part), ...)); replaying its assignments on ``state`` reproduces the
+    reduced state.  A stopping rule ends it with an empty assignment tuple.
     """
-    trace = RuleTrace()
+    trace: list[tuple[str, tuple[tuple[int, int], ...]]] = []
     current = state.copy()
     while True:
         dead = apply_stopping_rules(current)
         if dead is not None:
-            trace.record(dead, ())
+            trace.append((dead, ()))
             return None, trace
         found = _find_reduction(current)
         if found is None:
             return current, trace
-        rule, moves = found
-        for v, p in moves:
+        trace.append(found)
+        for v, p in found[1]:
             if not current.assign_vertex(v, p):
                 # The forced move is infeasible: no extension exists.
-                trace.record(rule, moves)
                 return None, trace
-        trace.record(rule, moves)
 
 
 def _qualifying_arms(state: PartialState, v1: int) -> list[tuple[int, int, int, int]]:
@@ -539,34 +514,38 @@ def _completion(state: PartialState) -> PartialState | None:
     """Closing assignment: each part absorbs the free neighborhoods of its
     busy vertices, second-order free vertices follow, and the remainder
     joins the last part.  Returns the completed state only when its
-    canonical form certifies the target part count."""
+    canonical form certifies the target part count.
+
+    A busy vertex is one assigned to part i with two or more free
+    neighbours; part i's first-round claims F'_i are the free neighbours
+    of its busy vertices not claimed by a lower part.  A free vertex
+    outside every F'_i joins the lowest part i with two neighbours in
+    F'_i, else the last part."""
     graph = state.graph
-    labels = state.assign[:]
-    claimed = [False] * graph.n
-    fprime: list[list[int]] = [[] for _ in range(state.used)]
-    for i in range(state.used):
-        busy = [
-            v for v in range(graph.n)
-            if labels[v] == i and len(state.free_neighbors(v)) >= 2
-        ]
-        for v in busy:
-            for z in state.free_neighbors(v):
-                if not claimed[z]:
-                    claimed[z] = True
-                    labels[z] = i
-                    fprime[i].append(z)
-    for i in range(state.used):
-        members = set(fprime[i])
-        for v in range(graph.n):
-            if labels[v] != FREE or claimed[v]:
-                continue
-            if sum(1 for u in graph.adj[v] if u in members) >= 2:
-                claimed[v] = True
-                labels[v] = i
+    adj = graph.adj
+    assign = state.assign
+    claim = [FREE] * graph.n  # the first-round part of each free vertex
+    for v, pv in enumerate(assign):
+        if pv == FREE:
+            continue
+        fnb = [u for u in adj[v] if assign[u] == FREE]
+        if len(fnb) >= 2:
+            for z in fnb:
+                if claim[z] == FREE or pv < claim[z]:
+                    claim[z] = pv
+    labels = assign[:]
     last = state.ell - 1
-    for v in range(graph.n):
-        if labels[v] == FREE:
-            labels[v] = last
+    for v, pv in enumerate(assign):
+        if pv != FREE:
+            continue
+        if claim[v] != FREE:
+            labels[v] = claim[v]
+            continue
+        contacts: dict[int, int] = {}
+        for u in adj[v]:
+            if claim[u] != FREE:
+                contacts[claim[u]] = contacts.get(claim[u], 0) + 1
+        labels[v] = min((i for i, c in contacts.items() if c >= 2), default=last)
     if _crossing_violation(graph, labels) is not None:
         return None
     if canonicalize(graph, labels).p < state.ell:
@@ -641,7 +620,7 @@ def _search(state: PartialState, stats: dict) -> tuple[list[int], list] | None:
         return None
     if reduced.free_count == 0:
         if canonicalize(reduced.graph, reduced.assign).p >= reduced.ell:
-            return reduced.assign, trace.applications
+            return reduced.assign, trace
         return None
     rule, children = select_branch(reduced)
     for child in children:
@@ -657,7 +636,7 @@ def _search(state: PartialState, stats: dict) -> tuple[list[int], list] | None:
         moves = tuple(
             (v, p) for v, p in enumerate(child.assign) if p != reduced.assign[v]
         )
-        return labels, trace.applications + [(rule, moves)] + path
+        return labels, trace + [(rule, moves)] + path
     return None
 
 

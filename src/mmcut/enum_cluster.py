@@ -92,7 +92,10 @@ class ErasedStructure:
         """``(cut, uncut, ends)`` for every matching ``cut`` of ``edges``,
         with the other edges and the cut's endpoints: the empty matching
         first (the structure stays whole), then the rest with each edge
-        taken before it is left out."""
+        taken before it is left out.  A matching is left out when the
+        uncut internal edges join the ends of one of its cut edges: that
+        edge would run inside one part, so ``_place`` could never accept
+        it."""
         def matchings(edges: tuple[Edge, ...]) -> Iterator[tuple[Edge, ...]]:
             if not edges:
                 yield ()
@@ -102,7 +105,25 @@ class ErasedStructure:
                 yield ((a, b),) + m
             yield from matchings(rest)
 
-        ordered = list(matchings(self.edges))
+        # The structure's internal edges over local ids 0..k-1.
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj: list[list[int]] = [[] for _ in index]
+        for a, b in self.edges:
+            if a in index and b in index:
+                adj[index[a]].append(index[b])
+                adj[index[b]].append(index[a])
+
+        def placeable(cut: tuple[Edge, ...]) -> bool:
+            inner = {
+                tuple(sorted((index[a], index[b])))
+                for a, b in cut if a in index and b in index
+            }
+            if not inner:
+                return True
+            _count, label = component_labels(adj, inner)
+            return all(label[x] != label[y] for x, y in inner)
+
+        ordered = [cut for cut in matchings(self.edges) if placeable(cut)]
         return tuple(
             (cut, tuple(e for e in self.edges if e not in cut), _saturated(cut))
             for cut in [ordered.pop()] + ordered

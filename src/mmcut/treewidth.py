@@ -5,13 +5,17 @@ smallest-labeled bag vertex in its part, Ext gives the exact number (0 or 1)
 of already-realized crossing neighbors of each bag vertex within the
 subgraph below t.  Entries that cannot arise are simply absent, which plays
 the role of minus infinity.
+
+The nice decomposition is a flat postorder list of ``(kind, bag, vertex)``
+ops, and the DP runs it as a stack program: a leaf pushes a table,
+introduce and forget rewrite the top one, and a join merges the top two.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph, InvariantError, component_labels
 
@@ -85,55 +89,49 @@ LEAF, INTRODUCE, FORGET, JOIN = "leaf", "introduce", "forget", "join"
 
 
 @dataclass
-class NiceNode:
-    kind: str
-    bag: tuple[int, ...]  # sorted
-    vertex: int = -1  # introduced / forgotten vertex
-    children: list["NiceNode"] = field(default_factory=list)
-
-
-@dataclass
 class NiceTreeDecomposition:
-    n: int
-    root: NiceNode
+    """A nice tree decomposition as a postorder list of ``(kind, bag,
+    vertex)`` ops, run as a stack program: a leaf pushes the empty bag,
+    introduce and forget of ``vertex`` rewrite the top bag, and a join
+    merges the top two equal bags.  Bags are sorted tuples; ``vertex`` is
+    -1 for leaves and joins.  The program ends with one empty root bag."""
 
-    def nodes_postorder(self) -> list[NiceNode]:
-        out: list[NiceNode] = []
-        stack: list[tuple[NiceNode, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-        return out
+    n: int
+    nodes: tuple[tuple[str, tuple[int, ...], int], ...]
 
     @property
     def width(self) -> int:
-        return max((len(n.bag) for n in self.nodes_postorder()), default=1) - 1
+        return max((len(bag) for _kind, bag, _v in self.nodes), default=1) - 1
 
     def validate(self) -> None:
-        for node in self.nodes_postorder():
-            if node.kind == LEAF:
-                if node.bag or node.children:
+        stack: list[tuple[int, ...]] = []
+        for kind, bag, v in self.nodes:
+            if kind == LEAF:
+                if bag:
                     raise TreeDecompositionError("leaf bags must be empty")
-            elif node.kind == INTRODUCE:
-                (child,) = node.children
-                if tuple(sorted(set(child.bag) | {node.vertex})) != node.bag:
-                    raise TreeDecompositionError("bad introduce node")
-            elif node.kind == FORGET:
-                (child,) = node.children
-                if tuple(sorted(set(child.bag) - {node.vertex})) != node.bag:
-                    raise TreeDecompositionError("bad forget node")
-            elif node.kind == JOIN:
-                a, b = node.children
-                if a.bag != node.bag or b.bag != node.bag:
+            elif kind in (INTRODUCE, FORGET):
+                if not stack:
+                    raise TreeDecompositionError(f"{kind} node with nothing below it")
+                below = stack.pop()
+                if kind == INTRODUCE:
+                    ok = v not in below and 0 <= v < self.n and bag == tuple(
+                        sorted(below + (v,)))
+                else:
+                    ok = v in below and bag == tuple(u for u in below if u != v)
+                if not ok:
+                    raise TreeDecompositionError(f"bad {kind} node of vertex {v}")
+            elif kind == JOIN:
+                if len(stack) < 2:
+                    raise TreeDecompositionError("join node with fewer than two below it")
+                if stack.pop() != bag or stack.pop() != bag:
                     raise TreeDecompositionError("join children must share the bag")
             else:
-                raise TreeDecompositionError(f"unknown node kind {node.kind}")
-        if self.root.bag:
+                raise TreeDecompositionError(f"unknown node kind {kind}")
+            stack.append(bag)
+        if len(stack) != 1:
+            raise TreeDecompositionError(
+                f"decomposition ends with {len(stack)} roots, not one")
+        if stack[0]:
             raise TreeDecompositionError("root bag must be empty")
 
 
@@ -282,54 +280,48 @@ def heuristic_decomposition(
 
 def nicify(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Expand into leaf/introduce/forget/join nodes with empty root and
-    leaf bags, preserving the width."""
+    leaf bags, preserving the width.
+
+    The tree is rooted at the smallest bag id and walked depth-first with
+    an explicit stack.  A childless bag becomes a leaf plus introductions;
+    each child's bag is morphed into its parent's by forgets, then
+    introductions, and every child after the first is joined in."""
     if not td.bags:
-        return NiceTreeDecomposition(td.n, NiceNode(LEAF, ()))
+        return NiceTreeDecomposition(td.n, ((LEAF, (), -1),))
     adj = td.neighbors()
-    root_id = min(td.bags)
+    bag_of = {t: tuple(sorted(bag)) for t, bag in td.bags.items()}
+    nodes: list[tuple[str, tuple[int, ...], int]] = []
 
-    def intro_chain_up(target: tuple[int, ...]) -> NiceNode:
-        # Build target bag from the empty leaf by introductions.
-        node = NiceNode(LEAF, ())
-        bag: list[int] = []
-        for v in sorted(target):
-            bag.append(v)
-            node = NiceNode(INTRODUCE, tuple(sorted(bag)), v, [node])
-        return node
-
-    def morph(node: NiceNode, target: tuple[int, ...]) -> NiceNode:
+    def morph(source: tuple[int, ...], target: tuple[int, ...]) -> None:
         # Forget extras, then introduce the missing vertices.
-        cur = set(node.bag)
+        cur = set(source)
         tgt = set(target)
         for v in sorted(cur - tgt):
             cur.discard(v)
-            node = NiceNode(FORGET, tuple(sorted(cur)), v, [node])
+            nodes.append((FORGET, tuple(sorted(cur)), v))
         for v in sorted(tgt - cur):
             cur.add(v)
-            node = NiceNode(INTRODUCE, tuple(sorted(cur)), v, [node])
-        return node
+            nodes.append((INTRODUCE, tuple(sorted(cur)), v))
 
-    def build(t: int, parent: int) -> NiceNode:
-        bag = tuple(sorted(td.bags[t]))
-        children = [build(s, t) for s in adj[t] if s != parent]
-        if not children:
-            return intro_chain_up(bag)
-        shaped = [morph(c, bag) for c in children]
-        node = shaped[0]
-        for other in shaped[1:]:
-            node = NiceNode(JOIN, bag, -1, [node, other])
-        return node
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(td.bags) + 100))
-    try:
-        top = build(root_id, -1)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    top = morph(top, ())
-    ntd = NiceTreeDecomposition(td.n, top)
+    root = min(td.bags)
+    # Frames: bag id, its children, how many of them are already emitted.
+    frames = [(root, adj[root], 0)]
+    while frames:
+        t, kids, done = frames.pop()
+        if not kids:
+            nodes.append((LEAF, (), -1))
+            morph((), bag_of[t])
+            continue
+        if done:
+            morph(bag_of[kids[done - 1]], bag_of[t])
+            if done > 1:
+                nodes.append((JOIN, bag_of[t], -1))
+        if done < len(kids):
+            child = kids[done]
+            frames.append((t, kids, done + 1))
+            frames.append((child, [s for s in adj[child] if s != t], 0))
+    morph(bag_of[root], ())
+    ntd = NiceTreeDecomposition(td.n, tuple(nodes))
     ntd.validate()
     return ntd
 
@@ -492,25 +484,19 @@ def max_parts_tw(
         stats_out["table_entries"] = 0
     if graph.n == 0:
         return 0
-    tables: dict[int, dict] = {}
-    order = ntd.nodes_postorder()
-    for node in order:
-        if node.kind == LEAF:
+    # The bag and table of every node whose parent is still to come.
+    stack: list[tuple[tuple[int, ...], dict]] = []
+    for kind, bag, v in ntd.nodes:
+        if kind == LEAF:
             table = transfer_leaf()
-        elif node.kind == INTRODUCE:
-            child = node.children[0]
-            table = transfer_introduce(
-                graph, child.bag, tables.pop(id(child)), node.vertex
-            )
-        elif node.kind == FORGET:
-            child = node.children[0]
-            table = transfer_forget(child.bag, tables.pop(id(child)), node.vertex)
+        elif kind == INTRODUCE:
+            table = transfer_introduce(graph, *stack.pop(), v)
+        elif kind == FORGET:
+            table = transfer_forget(*stack.pop(), v)
         else:
-            a, b = node.children
-            table = transfer_join(
-                graph, node.bag, tables.pop(id(a)), tables.pop(id(b))
-            )
-        bag_size = len(node.bag)
+            right = stack.pop()[1]
+            table = transfer_join(graph, bag, stack.pop()[1], right)
+        bag_size = len(bag)
         if bag_size and len(table) > (bag_size ** bag_size) * (2 ** bag_size):
             raise InvariantError(
                 f"{len(table)} table entries exceed the bound for a bag of "
@@ -518,8 +504,8 @@ def max_parts_tw(
             )
         if stats_out is not None:
             stats_out["table_entries"] += len(table)
-        tables[id(node)] = table
-    root_table = tables[id(ntd.root)]
+        stack.append((bag, table))
+    root_table = stack[-1][1]
     if not root_table:
         return 0
     return root_table[((), ())]

@@ -327,6 +327,23 @@ class TestInstanceObject:
         kept = [p for p in inst.pendants if p.kept]
         assert len(kept) == 2
 
+    def test_triangle_modes_keep_internal_edges(self):
+        # THREE_HOST_TWIN's erased triangle has 14 matchings.  Cutting one
+        # internal edge leaves the other two joining its ends, so only the
+        # 2^3 matchings of its three disjoint host edges remain.
+        s = ErasedStructure(
+            (9, 10, 11), ((9, 10), (9, 11), (10, 11), (3, 9), (4, 10), (5, 11)))
+        assert len(s.modes) == 8
+        assert s.modes[0] == ((), s.edges, set())
+        assert all(set(uncut[:3]) == set(s.edges[:3]) for _cut, uncut, _ends in s.modes)
+
+    def test_edge_cluster_keeps_every_matching(self):
+        # A two-vertex structure has one internal edge, so each of its
+        # four matchings can be placed.
+        s = ErasedStructure((2, 3), ((2, 3), (0, 2), (1, 2)))
+        assert [cut for cut, _uncut, _ends in s.modes] == [
+            (), ((2, 3),), ((0, 2),), ((1, 2),)]
+
 
 class TestRuleSafeness:
     def test_single_rule_instances_match_oracle(self, rng):

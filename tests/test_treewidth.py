@@ -12,6 +12,7 @@ from mmcut import treewidth
 from mmcut.graphs import Graph, InvariantError, complete_graph, cycle_graph, path_graph
 from mmcut.oracle import max_parts
 from mmcut.treewidth import (
+    NiceTreeDecomposition,
     TreeDecomposition,
     TreeDecompositionError,
     _check_key,
@@ -300,25 +301,26 @@ class TestTransfersMatchReference:
     @staticmethod
     def assert_same_tables(graph):
         ntd = nicify(heuristic_decomposition(graph))
-        got: dict = {}
-        want: dict = {}
-        for node in ntd.nodes_postorder():
-            kids = [id(c) for c in node.children]
-            if node.kind == "leaf":
+        # (bag, table, reference table) of every node whose parent is to come.
+        stack: list = []
+        for kind, bag, v in ntd.nodes:
+            if kind == "leaf":
                 new, ref = transfer_leaf(), transfer_leaf()
-            elif node.kind == "introduce":
-                child = node.children[0]
-                new = transfer_introduce(graph, child.bag, got.pop(kids[0]), node.vertex)
-                ref = reference_introduce(graph, child.bag, want.pop(kids[0]), node.vertex)
-            elif node.kind == "forget":
-                child = node.children[0]
-                new = transfer_forget(child.bag, got.pop(kids[0]), node.vertex)
-                ref = reference_forget(child.bag, want.pop(kids[0]), node.vertex)
+            elif kind == "introduce":
+                below, got, want = stack.pop()
+                new = transfer_introduce(graph, below, got, v)
+                ref = reference_introduce(graph, below, want, v)
+            elif kind == "forget":
+                below, got, want = stack.pop()
+                new = transfer_forget(below, got, v)
+                ref = reference_forget(below, want, v)
             else:
-                new = transfer_join(graph, node.bag, got.pop(kids[0]), got.pop(kids[1]))
-                ref = transfer_join(graph, node.bag, want.pop(kids[0]), want.pop(kids[1]))
-            assert new == ref, f"{node.kind} node with bag {node.bag}"
-            got[id(node)], want[id(node)] = new, ref
+                _, got_r, want_r = stack.pop()
+                _, got_l, want_l = stack.pop()
+                new = transfer_join(graph, bag, got_l, got_r)
+                ref = transfer_join(graph, bag, want_l, want_r)
+            assert new == ref, f"{kind} node with bag {bag}"
+            stack.append((bag, new, ref))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
     def test_paths_and_cycles(self, n):
@@ -350,22 +352,61 @@ class TestNicify:
         td = heuristic_decomposition(cycle_graph(5))
         ntd = nicify(td)
         ntd.validate()
-        assert ntd.root.bag == ()
+        # Replaying the stack program leaves one bag, the root's.
+        stack = []
+        for kind, bag, _v in ntd.nodes:
+            if kind != "leaf":
+                stack.pop()
+            if kind == "join":
+                stack.pop()
+            stack.append(bag)
+        assert stack == [()]
         assert ntd.width == td.width
         again = nicify(td)
-        kinds = [n.kind for n in ntd.nodes_postorder()]
-        assert kinds == [n.kind for n in again.nodes_postorder()]
+        kinds = [kind for kind, _bag, _v in ntd.nodes]
+        assert kinds == [kind for kind, _bag, _v in again.nodes]
 
     def test_single_bag_expansion(self):
         td = parse_td("s td 1 2 2\nb 1 1 2\n")
         ntd = nicify(td)
-        kinds = [n.kind for n in ntd.nodes_postorder()]
+        kinds = [kind for kind, _bag, _v in ntd.nodes]
         assert kinds == ["leaf", "introduce", "introduce", "forget", "forget"]
 
     def test_node_count_linear(self):
         g = path_graph(40)
         ntd = nicify(heuristic_decomposition(g))
-        assert len(ntd.nodes_postorder()) <= 6 * g.n + 10
+        assert len(ntd.nodes) <= 6 * g.n + 10
+
+    LEAF = ("leaf", (), -1)
+
+    @pytest.mark.parametrize(
+        "nodes,message",
+        [
+            # A join with one table under it.
+            ((LEAF, ("join", (), -1)), "fewer than two"),
+            # Two roots left on the stack.
+            ((LEAF, LEAF), "2 roots"),
+            # Forgetting a vertex that is not in the bag below.
+            ((LEAF, ("introduce", (0,), 0), ("forget", (0,), 1),
+              ("forget", (), 0)), "bad forget"),
+            ((LEAF, ("introduce", (0,), 0), ("introduce", (0,), 0),
+              ("forget", (), 0)), "bad introduce"),
+            ((LEAF, ("introduce", (0,), 0), LEAF, ("introduce", (1,), 1),
+              ("join", (0,), -1), ("forget", (), 0)), "share the bag"),
+            ((LEAF, ("introduce", (0,), 0)), "root bag must be empty"),
+            ((("introduce", (0,), 0),), "nothing below"),
+            ((), "0 roots"),
+        ],
+    )
+    def test_validate_rejects(self, nodes, message):
+        with pytest.raises(TreeDecompositionError, match=message):
+            NiceTreeDecomposition(2, nodes).validate()
+
+    def test_validate_accepts_a_join(self):
+        intro = ("introduce", (0,), 0)
+        NiceTreeDecomposition(1, (
+            self.LEAF, intro, self.LEAF, intro, ("join", (0,), -1), ("forget", (), 0)
+        )).validate()
 
 
 class TestTransfers:
@@ -505,7 +546,7 @@ class TestStats:
                          "transfer_forget", "transfer_join"):
                 mp.setattr(treewidth, name, record(name))
             assert max_parts_tw(g, ntd, stats_out=stats) == 3
-        assert len(seen) == len(ntd.nodes_postorder())
+        assert len(seen) == len(ntd.nodes)
         assert stats == {"table_entries": sum(seen)}
 
     def test_empty_graph_counts_nothing(self):
