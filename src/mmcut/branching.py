@@ -1,8 +1,10 @@
 """Exact branch-and-reduce solver for matching multicuts.
 
 The search works over partial assignments of vertices to at most ``ell``
-part labels plus a free pool, driven by stopping rules S1-S4, reduction
-rules R1-R7 and branching configurations B1-B8/B4'.  B6 has no detector:
+part labels plus a free pool, driven by stopping rules S1-S3, reduction
+rules R1-R7 and branching configurations B1-B8/B4'.  S4 (an assigned vertex
+with two crossing neighbors) has no check: ``assign_vertex`` refuses the
+second crossing, so no search state has one.  B6 has no detector:
 every B6 configuration also satisfies B4 at the same vertex, and B4 is
 tried on every vertex first.  Part-permutation symmetry is broken by
 restricted growth (label j+1 only opens after label j) and by seeding:
@@ -123,15 +125,18 @@ class PartialState:
 
 
 def apply_stopping_rules(state: PartialState) -> str | None:
-    """First stopping rule, in S1..S4 priority, that proves no extension
+    """First stopping rule, in S1..S3 priority, that proves no extension
     exists, else None.
 
-    One pass over the vertices: S1 returns at once, S2-S4 are remembered,
-    and checks that can no longer change the verdict are skipped.
+    One pass over the vertices: S1 returns at once, S2-S3 are remembered,
+    and checks that can no longer change the verdict are skipped.  S3 is
+    looked for only at vertices with a crossing neighbor (``state.cross``),
+    of which ``assign_vertex`` allows at most one.
     """
     adj = state.graph.adj
     assign = state.assign
-    s2 = s3 = s4 = False
+    cross = state.cross
+    s2 = s3 = False
     for v, pv in enumerate(assign):
         if pv == FREE:
             cont = state.part_contacts(v)
@@ -140,26 +145,18 @@ def apply_stopping_rules(state: PartialState) -> str | None:
                 return "S1"
             # S2: a free vertex touching three parts.
             s2 = s2 or len(cont) >= 3
-        elif not (s2 or s3):
-            # S4 is recomputed from adjacency rather than read off
-            # ``state.cross``, so externally built states are handled too.
-            outside = 0
+        elif cross[v] and not (s2 or s3):
+            # S3: a crossing edge whose endpoints share a free neighbor.
             for u in adj[v]:
                 pu = assign[u]
-                if pu == FREE or pu == pv:
-                    continue
-                outside += 1
-                # S3: a crossing edge whose endpoints share a free neighbor.
-                if v < u and any(
-                    assign[z] == FREE and z in adj[u] for z in adj[v]
-                ):
-                    s3 = True
-            s4 = s4 or outside >= 2
+                if pu != FREE and pu != pv:
+                    s3 = v < u and any(
+                        assign[z] == FREE and z in adj[u] for z in adj[v]
+                    )
+                    break
     if s2:
         return "S2"
-    if s3:
-        return "S3"
-    return "S4" if s4 else None
+    return "S3" if s3 else None
 
 
 def _find_reduction(state: PartialState) -> tuple[str, tuple[tuple[int, int], ...]] | None:

@@ -58,12 +58,12 @@ def _edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class HeldCluster:
-    """Matching cluster attached to a single monochromatic group."""
+    """Matching cluster attached to a single monochromatic group.  A
+    pendant one (two vertices, one host edge) is a ``PendantUnit`` instead."""
 
     vertices: tuple[int, ...]
     nbrs: tuple[int, ...]
     boundary: tuple[Edge, ...]
-    pendant: bool  # two vertices, one host edge: handled by stage 4
 
 
 @dataclass(frozen=True)
@@ -506,18 +506,15 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
         if len({red.group_of[w] for w in nbrs}) != 1:
             continue
         h_vertices.difference_update(cluster)
-        pendant = len(cluster) == 2 and len(nbrs) == 1
-        held.append(
-            HeldCluster(
-                cluster, tuple(nbrs),
-                tuple(red.boundary_edges(cluster)), pendant,
-            )
-        )
-        if pendant:
+        if len(cluster) == 2 and len(nbrs) == 1:
             w = nbrs[0]
             attached = next(v for v in cluster if w in red.adj[v])
             free = next(v for v in cluster if v != attached)
             pendants.append(PendantUnit(attached, free, w, True))
+        else:
+            held.append(
+                HeldCluster(cluster, tuple(nbrs), tuple(red.boundary_edges(cluster)))
+            )
     pendants.sort(key=lambda p: (p.attached, p.free))
     held.sort(key=lambda c: c.vertices)
 
@@ -617,14 +614,11 @@ def _saturated(cut_edges) -> set[int]:
 def extend_with_matching_clusters(
     inst: ClusterInstance, core_cut: frozenset[Edge]
 ) -> Iterator[frozenset[Edge]]:
-    """Stage 3: every way of additionally cutting non-pendant held-out
-    clusters whose whole neighborhood is still unsaturated, via set packing
-    over those neighborhoods.  Pendant units wait for stage 4."""
+    """Stage 3: every way of additionally cutting held-out clusters whose
+    whole neighborhood is still unsaturated, via set packing over those
+    neighborhoods.  Pendant units wait for stage 4."""
     saturated = _saturated(core_cut)
-    eligible = [
-        hc for hc in inst.held
-        if not hc.pendant and not saturated.intersection(hc.nbrs)
-    ]
+    eligible = [hc for hc in inst.held if not saturated.intersection(hc.nbrs)]
     if not eligible:
         yield core_cut
         return

@@ -4,11 +4,16 @@ co-cluster.
 The vertex-cover compressor keeps the cover, one pendant neighbor per cover
 vertex and up to three shared independent-set neighbors per cover pair; the
 lifting streams, for every kernel solution, the whole equivalence class
-obtained by swapping which pendant edge of a group is cut.  The co-cluster
-compressor shrinks the complete multipartite remainder to a constant-size
-indivisible core whose solutions coincide with the original graph's, or
-falls back to the vertex-cover kernel when the remainder is too thin to be
-indivisible.
+obtained by swapping which pendant edge of a group is cut.
+
+The co-cluster compressor splits on the complete multipartite remainder
+G - S.  With three or more classes (case A, bound 2k) or a large K_{a,b}
+(case B, bound 2k + 2) the remainder is indivisible: the case's reduction
+rules thin it out, a clique compaction runs only if the result is still
+above the bound, and one check then enforces the bound.  The reduced
+instance's solutions coincide with the original graph's.  Otherwise the
+remainder is too thin to be indivisible, and S plus its small side is a
+vertex cover handed to the vertex-cover kernel.
 """
 
 from __future__ import annotations
@@ -152,7 +157,6 @@ class CoclusterReduced:
 
     graph: Graph  # H on contiguous ids
     to_g: tuple[int, ...]  # H id -> original id; padding vertices map to -1
-    ell: int
 
 
 @dataclass(frozen=True)
@@ -160,53 +164,16 @@ class CoclusterDelegate:
     cover: frozenset[int]  # vertex cover of the original graph
 
 
-def _blob_compaction(
-    s_vertices: list[int],
-    forced: list[int],
-    attach_edges: list[Edge],
-    s_edges: list[Edge],
-    blob_nonempty: bool,
-) -> tuple[Graph, tuple[int, ...]]:
-    """Replace the indivisible remainder by a small clique.
-
-    Keeps the cover-side vertices and every attachment endpoint verbatim;
-    vertices that were forced into the remainder's part get two edges into
-    the clique, which pins them there in every solution.
-    """
-    cut_points = sorted({z for _u, z in attach_edges})
-    old_ids = sorted(set(s_vertices) | set(cut_points))
-    index = {v: i for i, v in enumerate(old_ids)}
-    pad_needed = max(0, (3 if (blob_nonempty or cut_points) else 0) - len(cut_points))
-    blob_ids = [index[z] for z in cut_points]
-    n = len(old_ids)
-    for _ in range(pad_needed):
-        blob_ids.append(n)
-        n += 1
-    edges: list[Edge] = []
-    for u, v in s_edges:
-        edges.append((index[u], index[v]))
-    for u, z in attach_edges:
-        edges.append((index[u], index[z]))
-    for i, a in enumerate(blob_ids):
-        for b in blob_ids[i + 1:]:
-            edges.append((a, b))
-    anchor = sorted(blob_ids)[:2]
-    for u in forced:
-        for a in anchor:
-            edges.append((index[u], a))
-    to_g = [old_ids[i] for i in range(len(old_ids))] + [-1] * pad_needed
-    return Graph.from_edges(n, edges), tuple(to_g)
-
-
 def compress_cocluster(
-    graph: Graph, modulator: Modulator | frozenset[int], ell: int
+    graph: Graph, modulator: Modulator | frozenset[int]
 ) -> CoclusterReduced | CoclusterDelegate:
     """Case analysis on the complete multipartite remainder G - S.
 
-    Three or more classes, or a K_{a,b} with a >= 2 and b >= 3, form an
-    indivisible remainder: reduction rules thin it out and the compaction
-    pins the bound |V(H)| <= 2k (respectively 2k + 2).  Otherwise S plus the
-    small side is a vertex cover and the vertex-cover kernel takes over.
+    Three or more classes (case A), or a K_{a,b} with a >= 2 and b >= 3
+    (case B), form an indivisible remainder: reduction rules thin it out
+    and the compaction pins the bound |V(H)| <= 2k (respectively 2k + 2).
+    Otherwise S plus the small side is a vertex cover and the vertex-cover
+    kernel takes over.
     """
     s_set = set(
         modulator.vertices if isinstance(modulator, Modulator) else modulator
@@ -219,28 +186,20 @@ def compress_cocluster(
         raise ValueError("removing the modulator does not leave a co-cluster graph")
     classes = [{ids[v] for v in cls} for cls in classes_local]
 
-    if len(classes) >= 3:
-        hgraph, to_g = _reduce_many_classes(graph, s_set, classes)
-        if hgraph.n > 2 * k:
-            hgraph, to_g = _compact_from_reduced(hgraph, to_g, s_set)
-        if k >= 3 and hgraph.n > 2 * k:
-            raise InvariantError("case A kernel bound violated")
-        return CoclusterReduced(hgraph, to_g, ell)
-
     sizes = sorted(len(c) for c in classes)
-    if len(classes) == 2 and sizes[0] >= 2 and sizes[1] >= 3:
-        hgraph, to_g = _reduce_two_classes(graph, s_set, classes)
-        if hgraph.n > 2 * k + 2:
-            hgraph, to_g = _compact_from_reduced(hgraph, to_g, s_set)
-        if k >= 3 and hgraph.n > 2 * k + 2:
-            raise InvariantError("case B kernel bound violated")
-        return CoclusterReduced(hgraph, to_g, ell)
-
-    cover = set(s_set)
-    if len(classes) == 2:
-        small = min(classes, key=len)
-        cover |= small
-    return CoclusterDelegate(frozenset(cover))
+    if len(classes) >= 3:
+        case, reducer, bound = "A", _reduce_many_classes, 2 * k
+    elif len(classes) == 2 and sizes[0] >= 2 and sizes[1] >= 3:
+        case, reducer, bound = "B", _reduce_two_classes, 2 * k + 2
+    else:
+        small = min(classes, key=len) if len(classes) == 2 else set()
+        return CoclusterDelegate(frozenset(s_set | small))
+    hgraph, to_g = reducer(graph, s_set, classes)
+    if hgraph.n > bound:
+        hgraph, to_g = _compact_from_reduced(hgraph, to_g, s_set)
+    if k >= 3 and hgraph.n > bound:
+        raise InvariantError(f"case {case} kernel bound violated")
+    return CoclusterReduced(hgraph, to_g)
 
 
 def _reduce_many_classes(graph, s_set, classes):
@@ -252,90 +211,69 @@ def _reduce_many_classes(graph, s_set, classes):
     adj = [set(a) for a in graph.adj]
     classes = [set(c) for c in classes]
     removed: set[int] = set()
-
-    def blob() -> set[int]:
-        out = set()
-        for c in classes:
-            out |= c
-        return out
-
-    changed = True
-    while changed:
-        changed = False
-        b = blob()
+    while True:
+        blob = set().union(*classes)
         for u in sorted(s_work):
-            if sum(1 for z in adj[u] if z in b) >= 2:
-                for z in b:
-                    adj[u].add(z)
+            if len(adj[u] & blob) >= 2:
+                adj[u] |= blob
+                for z in blob:
                     adj[z].add(u)
                 s_work.discard(u)
                 classes.append({u})
-                changed = True
                 break
-        if changed:
-            continue
-        for u in sorted(b):
-            if any(z in s_work for z in adj[u]):
-                continue
-            cls = next(c for c in classes if u in c)
-            remaining = len(classes) - (1 if len(cls) == 1 else 0)
-            if remaining >= 3:
-                cls.discard(u)
-                if not cls:
-                    classes.remove(cls)
-                for z in list(adj[u]):
-                    adj[z].discard(u)
-                adj[u].clear()
-                removed.add(u)
-                changed = True
-                break
-    return _rebuild(graph.n, adj, removed)
+        else:
+            for u in sorted(blob):
+                if not adj[u].isdisjoint(s_work):
+                    continue
+                cls = next(c for c in classes if u in c)
+                if len(classes) - (len(cls) == 1) >= 3:
+                    cls.discard(u)
+                    if not cls:
+                        classes.remove(cls)
+                    _detach(adj, removed, u)
+                    break
+            else:
+                return _rebuild(graph.n, adj, removed)
 
 
 def _reduce_two_classes(graph, s_set, classes):
     """K_{a,b} case: rewire busy modulator vertices to the small side and
     drop unattached remainder vertices while both sides stay large."""
-    s_work = set(s_set)
     adj = [set(a) for a in graph.adj]
-    sides = sorted((set(c) for c in classes), key=lambda c: (len(c), min(c)))
+    sides = [set(c) for c in classes]
     removed: set[int] = set()
-    rewired: set[int] = set()
-
-    def small_side() -> set[int]:
-        return min(sides, key=lambda c: (len(c), min(c) if c else -1))
-
-    changed = True
-    while changed:
-        changed = False
-        b = sides[0] | sides[1]
-        target = small_side()
-        for u in sorted(s_work):
-            nblob = {z for z in adj[u] if z in b}
+    while True:
+        blob = sides[0] | sides[1]
+        target = min(sides, key=lambda c: (len(c), min(c)))
+        for u in sorted(s_set):
+            nblob = adj[u] & blob
             if len(nblob) >= 2 and nblob != target:
+                adj[u] -= nblob
                 for z in nblob:
-                    adj[u].discard(z)
                     adj[z].discard(u)
+                adj[u] |= target
                 for z in target:
-                    adj[u].add(z)
                     adj[z].add(u)
-                rewired.add(u)
-                changed = True
                 break
-        if changed:
-            continue
-        if len(sides[0]) >= 3 and len(sides[1]) >= 3:
-            for u in sorted(b):
-                if any(z in s_work for z in adj[u]):
-                    continue
-                for side in sides:
-                    side.discard(u)
-                for z in list(adj[u]):
-                    adj[z].discard(u)
-                adj[u].clear()
-                removed.add(u)
-                changed = True
-                break
-    return _rebuild(graph.n, adj, removed)
+        else:
+            if min(len(sides[0]), len(sides[1])) < 3:
+                return _rebuild(graph.n, adj, removed)
+            for u in sorted(blob):
+                if adj[u].isdisjoint(s_set):
+                    for side in sides:
+                        side.discard(u)
+                    _detach(adj, removed, u)
+                    break
+            else:
+                return _rebuild(graph.n, adj, removed)
+
+
+def _detach(adj: list[set[int]], removed: set[int], u: int) -> None:
+    """Delete remainder vertex ``u`` and its edges from the working graph."""
+    for z in adj[u]:
+        adj[z].discard(u)
+    adj[u].clear()
+    removed.add(u)
 
 
 def _rebuild(
@@ -352,31 +290,36 @@ def _rebuild(
 
 
 def _compact_from_reduced(hgraph: Graph, to_g, s_set) -> tuple[Graph, tuple[int, ...]]:
-    """Apply the clique compaction to an already-reduced instance."""
-    s_local = [i for i in range(hgraph.n) if to_g[i] in s_set]
-    s_local_set = set(s_local)
-    blob_local = [i for i in range(hgraph.n) if i not in s_local_set]
-    forced = [
-        u for u in s_local
-        if sum(1 for z in hgraph.adj[u] if z not in s_local_set) >= 2
+    """Replace the indivisible remainder of a reduced instance, which is
+    nonempty when the bound is exceeded, by a clique of at least three
+    vertices.
+
+    Keeps the modulator vertices with their edges among themselves, and
+    every remainder vertex a modulator vertex with one remainder neighbour
+    attaches to; padding vertices (mapped to -1) fill the clique up.  A
+    modulator vertex with two or more remainder neighbours is forced into
+    the remainder's part: its edges there give way to two edges into the
+    clique, which pin it there in every solution.
+    """
+    s_ids = [i for i in range(hgraph.n) if to_g[i] in s_set]
+    in_s = set(s_ids)
+    forced = {u for u in s_ids if sum(z not in in_s for z in hgraph.adj[u]) >= 2}
+    kept = [
+        (u, v) for u in s_ids for v in hgraph.adj[u]
+        if (u < v if v in in_s else u not in forced)
     ]
-    forced_set = set(forced)
-    attach = [
-        (u, z)
-        for u in s_local if u not in forced_set
-        for z in hgraph.adj[u] if z not in s_local_set
-    ]
-    s_edges = [
-        (u, v) for u in s_local for v in hgraph.adj[u]
-        if v in s_local_set and u < v
-    ]
-    newg, local_map = _blob_compaction(
-        s_local, forced, attach, s_edges, bool(blob_local)
+    cut_points = sorted({v for _u, v in kept if v not in in_s})
+    old_ids = sorted(in_s.union(cut_points))
+    index = {v: i for i, v in enumerate(old_ids)}
+    pad = max(0, 3 - len(cut_points))
+    clique = [index[z] for z in cut_points] + [len(old_ids) + i for i in range(pad)]
+    edges = [(index[u], index[v]) for u, v in kept]
+    edges += itertools.combinations(clique, 2)
+    edges += [(index[u], a) for u in forced for a in clique[:2]]
+    return (
+        Graph.from_edges(len(old_ids) + pad, edges),
+        tuple(to_g[i] for i in old_ids) + (-1,) * pad,
     )
-    final_map = tuple(
-        to_g[i] if i != -1 else -1 for i in local_map
-    )
-    return newg, final_map
 
 
 def enumerate_via_kernel(
@@ -394,7 +337,7 @@ def enumerate_via_kernel(
     if modulator.kind == "vertex-cover":
         yield from _enumerate_vc(graph, set(modulator.vertices), ell)
     elif modulator.kind == "co-cluster":
-        result = compress_cocluster(graph, modulator, ell)
+        result = compress_cocluster(graph, modulator)
         if isinstance(result, CoclusterDelegate):
             yield from _enumerate_vc(graph, set(result.cover), ell)
             return

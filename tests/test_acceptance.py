@@ -147,7 +147,7 @@ class TestCriterion3:
         checked_a = checked_b = 0
         for _ in range(400):
             g, s, case = _random_cocluster_instance(rng)
-            result = compress_cocluster(g, s, 2)
+            result = compress_cocluster(g, s)
             k = len(s)
             if case == "A":
                 assert isinstance(result, CoclusterReduced)

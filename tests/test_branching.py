@@ -48,13 +48,14 @@ class TestStoppingRules:
         state = make_state(g, 2, [(0, 0), (1, 1)])
         assert apply_stopping_rules(state) == "S3"
 
-    def test_s4_two_realized_crossings(self):
-        g = path_graph(3)
-        state = PartialState(g, 3)
-        state.assign = [0, 1, 2]
-        state.used = 3
-        state.free_count = 0
-        assert apply_stopping_rules(state) == "S4"
+    def test_second_crossing_refused(self):
+        # S4 states are unreachable: the new vertex would cross twice, or
+        # its neighbor already crosses once.
+        for first, refused in ([(0, 0), (2, 1)], (1, 2)), ([(0, 0), (1, 1)], (2, 2)):
+            state = make_state(path_graph(3), 3, first)
+            cross = state.cross[:]
+            assert not state.assign_vertex(*refused)
+            assert state.assign[refused[0]] == FREE and state.cross == cross
 
     def test_all_free_alive(self):
         state = PartialState(cycle_graph(5), 2)

@@ -365,6 +365,7 @@ GOLDEN_CASES = {
     "verify-agreement-ell": "verify agreement --ell 2 {I}/isolated.gr",
     "verify-is2mmc": "verify is2mmc {I}/k4.gr -k 1",
     "verify-is2mmc-no": "verify is2mmc {I}/k4.gr -k 2",
+    "verify-is2mmc-cubic": "verify is2mmc {I}/k4.gr -k 1 --variant cubic",
     "verify-sp2mmc": "verify sp2mmc {I}/chain.sp",
     "verify-xcompose": "verify xcompose {I}/tiny.sp {I}/chain.sp",
     "missing-file": "solve --ell 2 {I}/missing.gr",

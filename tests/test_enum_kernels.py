@@ -311,7 +311,7 @@ class TestCompressCocluster:
         g, s = build_cocluster_instance(
             [(0, 1), (1, 2)], [1, 1, 1], [(0, 0), (1, 1), (2, 2)]
         )
-        result = compress_cocluster(g, s, 2)
+        result = compress_cocluster(g, s)
         assert isinstance(result, CoclusterReduced)
         assert result.graph.n <= 2 * len(s)
 
@@ -321,7 +321,7 @@ class TestCompressCocluster:
         g, s = build_cocluster_instance(
             [(0, 1), (1, 2)], [1, 1, 1], [(0, 0), (0, 1), (1, 2), (2, 2)]
         )
-        result = compress_cocluster(g, s, 2)
+        result = compress_cocluster(g, s)
         assert isinstance(result, CoclusterReduced)
         assert result.graph.n <= 2 * len(s)
 
@@ -329,25 +329,25 @@ class TestCompressCocluster:
         g, s = build_cocluster_instance(
             [(0, 1), (1, 2)], [2, 3], [(0, 0), (1, 2), (2, 4)]
         )
-        result = compress_cocluster(g, s, 2)
+        result = compress_cocluster(g, s)
         assert isinstance(result, CoclusterReduced)
         assert result.graph.n <= 2 * len(s) + 2
 
     def test_case_c_delegates_to_cover(self):
         g, s = build_cocluster_instance([(0, 1)], [3], [(0, 0), (1, 1)])
-        result = compress_cocluster(g, s, 2)
+        result = compress_cocluster(g, s)
         assert isinstance(result, CoclusterDelegate)
         assert result.cover == s  # edgeless remainder: S already covers
 
     def test_case_c_small_two_sided(self):
         g, s = build_cocluster_instance([(0, 1)], [2, 2], [(0, 0)])
-        result = compress_cocluster(g, s, 2)
+        result = compress_cocluster(g, s)
         assert isinstance(result, CoclusterDelegate)
         assert len(result.cover) <= len(s) + 2
 
     def test_invalid_modulator(self):
         with pytest.raises(ValueError):
-            compress_cocluster(path_graph(5), frozenset({0}), 2)
+            compress_cocluster(path_graph(5), frozenset({0}))
 
     def test_rule_safeness_solution_sets_match(self, rng):
         # Whenever the reducer produces an instance, its multicuts coincide
@@ -355,7 +355,7 @@ class TestCompressCocluster:
         for _ in range(80):
             g = random_graph(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.8]))
             s = approx_cocluster_modulator(g)
-            result = compress_cocluster(g, s, 1)
+            result = compress_cocluster(g, s)
             if not isinstance(result, CoclusterReduced):
                 continue
             h = result.graph
@@ -405,7 +405,7 @@ class TestCoclusterPipeline:
         edges += [(0, 3), (1, 7), (2, 8), (0, 1)]
         g = Graph.from_edges(11, edges)
         s = frozenset({0, 1, 2})
-        result = compress_cocluster(g, s, 1)
+        result = compress_cocluster(g, s)
         assert isinstance(result, CoclusterReduced)
         assert result.graph.n <= 2 * 3 + 2
         mod = Modulator("co-cluster", s)
@@ -443,7 +443,7 @@ class TestInvariants:
         monkeypatch.setattr(enum_kernels, "_compact_from_reduced",
                             lambda hgraph, to_g, s_set: (hgraph, to_g))
         with pytest.raises(InvariantError, match="case A kernel bound"):
-            compress_cocluster(g, s, 1)
+            compress_cocluster(g, s)
 
     def test_case_b_kernel_too_large(self, monkeypatch):
         edges = [(a, b) for a in range(3, 7) for b in range(7, 11)]
@@ -451,7 +451,7 @@ class TestInvariants:
         monkeypatch.setattr(enum_kernels, "_compact_from_reduced",
                             lambda hgraph, to_g, s_set: (hgraph, to_g))
         with pytest.raises(InvariantError, match="case B kernel bound"):
-            compress_cocluster(Graph.from_edges(11, edges), frozenset({0, 1, 2}), 1)
+            compress_cocluster(Graph.from_edges(11, edges), frozenset({0, 1, 2}))
 
     def test_lift_not_exact(self, monkeypatch):
         g = star(4)
@@ -473,9 +473,9 @@ class TestInvariants:
 
     def test_cocluster_solution_off_the_graph(self, monkeypatch):
         # The reduced instance's edge runs to a padding vertex.
-        reduced = CoclusterReduced(path_graph(2), (0, -1), 1)
+        reduced = CoclusterReduced(path_graph(2), (0, -1))
         monkeypatch.setattr(enum_kernels, "compress_cocluster",
-                            lambda graph, modulator, ell: reduced)
+                            lambda graph, modulator: reduced)
         mod = Modulator("co-cluster", frozenset({0}))
         with pytest.raises(InvariantError, match="only use original edges"):
             list(enumerate_via_kernel(path_graph(2), mod, 1))
@@ -501,13 +501,20 @@ class TestInvariants:
             "    list(enum_kernels.lift_vc(g, kern, frozenset({(0, 1)})))\n"
             "except InvariantError:\n"
             "    print('raised')\n"
+            "edges = [(a, b) for a in range(3, 7) for b in range(7, 11)]\n"
+            "edges += [(0, 3), (1, 7), (2, 8), (0, 1)]\n"
+            "enum_kernels._compact_from_reduced = lambda hgraph, to_g, s_set: (hgraph, to_g)\n"
+            "try:\n"
+            "    enum_kernels.compress_cocluster(Graph.from_edges(11, edges), {0, 1, 2})\n"
+            "except InvariantError as err:\n"
+            "    print(err)\n"
         )
         # Import the package under test, wherever it was found.
         env = {**os.environ,
                "PYTHONPATH": str(pathlib.Path(enum_kernels.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout == "raised\n"
+        assert done.stdout == "raised\ncase B kernel bound violated\n"
 
 
 class TestDelaySoftRegression:

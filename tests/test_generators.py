@@ -85,6 +85,12 @@ class TestIsToMmc:
         assert verify_is_reduction(g, 1).ok
         assert verify_is_reduction(g, 2).ok  # agree on "no"
 
+    def test_verify_cubic_variant(self):
+        # The cubic targets are decided by the treewidth DP.
+        g = cubic_test_graphs()["K4"]
+        assert verify_is_reduction(g, 1, "cubic").ok
+        assert verify_is_reduction(g, 2, "cubic").ok
+
     def test_solver_agreement_all_small_cubic(self):
         # Every cubic graph with at most 9 edges, all k up to alpha + 1.
         for name, g in cubic_test_graphs().items():
