@@ -1,15 +1,16 @@
 """Delay-bounded enumeration for graphs with a cluster modulator.
 
 Five-stage pipeline.  Stage 1 applies reduction rules 1-9, maintaining a
-partition of the modulator into monochromatic groups and journaling every
-erased structure.  Stage 2 exhaustively enumerates the core instance H
-(everything except matching clusters attached to a single monochromatic
-group).  Stage 3 re-attaches the non-pendant held-out clusters through a
-set-packing enumeration over their neighborhoods.  Stage 4 branches over
-pendant edge clusters (and isolated edge components), the structures that
-raise the part count on demand.  Stage 5 replays the journal of erased
-structures (twins and clashing simple edge clusters alike), offering each
-every matching of its edges that avoids the saturated vertices.
+partition of the modulator into monochromatic groups, recording every
+erased structure in erasure order and the rule applied in each round.
+Stage 2 exhaustively enumerates the core instance H (everything except
+matching clusters attached to a single monochromatic group).  Stage 3
+re-attaches the non-pendant held-out clusters through a set-packing
+enumeration over their neighborhoods.  Stage 4 branches over pendant edge
+clusters (and isolated edge components), the structures that raise the
+part count on demand.  Stage 5 visits the erased structures (twins and
+clashing simple edge clusters alike) in erasure order, offering each every
+matching of its edges that avoids the saturated vertices.
 
 Every emitted solution is a canonical multicut of the original graph.  The
 stream is duplicate-free because each solution has exactly one generation
@@ -26,15 +27,15 @@ Stages 4 and 5 share one branch state per stage-3 cut, a ``LiftState``:
 the cut, its saturated vertices, the part labelling of (G - erased
 vertices) - cut and the union-find over those parts.  Stage 4 builds it
 with one labelling and keeps it current through the pendant modes; at each
-leaf it yields the live object, and ``lift_cluster`` replays the journal
-on it in place and leaves it as it found it.  Stage 5 gives each erased
-vertex a part id as it places the vertex's structure, and joins ids
-through the uncut edges, so at a lifted leaf the union-find roots label
-the components of G - cut with no whole-graph labelling.  The state is
-valid only until stage 4 resumes.  A stage-5 generator closed before it is
-exhausted leaves the state dirty; that is safe only because whoever closes
-it closes the stage-4 generator along with it, as ``enumerate_cluster``
-does.
+leaf it yields the live object, and ``lift_cluster`` places the erased
+structures on it in place and leaves it as it found it.  Stage 5 gives
+each erased vertex a part id as it places the vertex's structure, and
+joins ids through the uncut edges, so at a lifted leaf the union-find
+roots label the components of G - cut with no whole-graph labelling.  The
+state is valid only until stage 4 resumes.  A stage-5 generator closed
+before it is exhausted leaves the state dirty; that is safe only because
+whoever closes it closes the stage-4 generator along with it, as
+``enumerate_cluster`` does.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class PendantUnit:
     attached: int
     free: int
     host: int
-    kept: bool
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,12 @@ class ErasedStructure:
 class ClusterInstance:
     graph: Graph
     modulator: frozenset[int]
-    mono: tuple[frozenset[int], ...]
     work_edges: frozenset[Edge]  # edges of the reduced graph
-    alive: tuple[int, ...]
     h_vertices: tuple[int, ...]
     held: tuple[HeldCluster, ...]
     pendants: tuple[PendantUnit, ...]
-    lift_entries: tuple[ErasedStructure, ...]  # in journal order
-    blue: frozenset[tuple[int, ...]]
-    journal: tuple[tuple, ...] = field(default_factory=tuple)
+    lift_entries: tuple[ErasedStructure, ...]  # in erasure order
+    fired: tuple[str, ...]  # the rule applied in each stage-1 round
 
     @cached_property
     def lift_vertices(self) -> frozenset[int]:
@@ -158,20 +155,6 @@ class ClusterInstance:
         }
         return frozenset(e for e in self.work_edges if e not in original)
 
-    def reconstruct_edges(self) -> frozenset[Edge]:
-        """Undo the journal (newest first) to recover the original edges."""
-        edges = set(self.work_edges)
-        for event in reversed(self.journal):
-            kind = event[0]
-            if kind == "add-edges":
-                edges.difference_update(event[1])
-            elif kind == "rewire":
-                edges.difference_update(event[1])
-                edges.update(event[2])
-            elif kind == "remove":
-                edges.update(event[2])
-        return frozenset(edges)
-
 
 class _Reducer:
     """Rules 1-9 of stage 1 over a mutable copy of the graph.
@@ -179,9 +162,10 @@ class _Reducer:
     Each round takes one snapshot of the derived structure: ``clusters``
     (components of the alive vertices outside the modulator, ordered by
     smallest vertex), ``group_of`` (modulator vertex -> index in ``mono``)
-    and ``stars`` (``nstar`` of every group).  Every rule returns as soon
-    as it changes the graph or the groups, so a round holds at most one
-    mutation and every probe in it reads an exact snapshot.
+    and ``stars`` (``nstar`` of every group).  Every rule returns its name
+    as soon as it changes the graph or the groups, and a falsy value when
+    it does not apply, so a round holds at most one mutation, every probe
+    in it reads an exact snapshot, and ``fired`` lists one name per round.
     """
 
     def __init__(self, graph: Graph, modulator: frozenset[int]):
@@ -190,10 +174,9 @@ class _Reducer:
         self.adj: list[set[int]] = [set(a) for a in graph.adj]
         self.alive: set[int] = set(range(graph.n))
         self.mono: list[set[int]] = [{u} for u in sorted(modulator)]
-        self.journal: list[tuple] = []
+        self.fired: list[str] = []
         self.erased: list[tuple[int, ...]] = []  # lifted by stage 5
         self.pendant_twins: list[PendantUnit] = []
-        self.blue: set[tuple[int, ...]] = set()
         self.clusters: list[tuple[int, ...]] = []
         self.group_of: dict[int, int] = {}
         self.stars: list[set[int]] = []
@@ -214,8 +197,6 @@ class _Reducer:
         self.stars = [self.nstar(part) for part in self.mono]
 
     def merge(self, i: int, j: int) -> None:
-        if i == j:
-            return
         a, b = min(i, j), max(i, j)
         self.mono[a] |= self.mono[b]
         del self.mono[b]
@@ -261,13 +242,11 @@ class _Reducer:
                 out.update(glued)
         return out
 
-    def remove_vertex(self, v: int, reason: str) -> None:
-        incident = tuple(sorted(_edge(v, u) for u in self.adj[v]))
-        for u in list(self.adj[v]):
+    def remove_vertex(self, v: int) -> None:
+        for u in self.adj[v]:
             self.adj[u].discard(v)
         self.adj[v].clear()
         self.alive.discard(v)
-        self.journal.append(("remove", reason, incident, v))
 
     # -- the reduction rules ------------------------------------------------
 
@@ -277,22 +256,25 @@ class _Reducer:
             self.snapshot()
 
     def _apply_one(self) -> bool:
-        return (
+        rule = (
             self._rule1() or self._rule2() or self._rule3() or self._rule4()
             or self._rule5() or self._rule6() or self._rule7()
             or self._rule89()
         )
+        if rule:
+            self.fired.append(rule)
+        return bool(rule)
 
-    def _rule1(self) -> bool:
+    def _rule1(self) -> str | None:
         stars = self.stars
         for i in range(len(stars)):
             for j in range(i + 1, len(stars)):
                 if stars[i] & stars[j]:
                     self.merge(i, j)
-                    return True
-        return False
+                    return "rule1"
+        return None
 
-    def _rule2(self) -> bool:
+    def _rule2(self) -> str | None:
         mod = sorted(self.mod & self.alive)
         for ui_idx, u in enumerate(mod):
             for up in mod[ui_idx + 1:]:
@@ -301,36 +283,32 @@ class _Reducer:
                 common = self.adj[u] & self.adj[up] & self.alive
                 if len(common) >= 3:
                     self.merge(self.group_of[u], self.group_of[up])
-                    return True
-        return False
+                    return "rule2"
+        return None
 
-    def _rule3(self) -> bool:
+    def _rule3(self) -> str | None:
         for star in self.stars:
             inside = [c for c in self.clusters if set(c) <= star]
             if len(inside) >= 2:
                 c1, c2 = inside[0], inside[1]
-                added = []
                 for a in c1:
-                    for b in c2:
-                        if b not in self.adj[a]:
-                            self.adj[a].add(b)
-                            self.adj[b].add(a)
-                            added.append(_edge(a, b))
-                self.journal.append(("add-edges", tuple(sorted(added))))
-                return True
-        return False
+                    self.adj[a].update(c2)
+                for b in c2:
+                    self.adj[b].update(c1)
+                return "rule3"
+        return None
 
-    def _rule4(self) -> bool:
+    def _rule4(self) -> str | None:
         for cluster in self.clusters:
             if len(cluster) <= 3:
                 continue
             for v in cluster:
                 if not any(u in self.mod for u in self.adj[v]):
-                    self.remove_vertex(v, "rule4")
-                    return True
-        return False
+                    self.remove_vertex(v)
+                    return "rule4"
+        return None
 
-    def _rule5(self) -> bool:
+    def _rule5(self) -> str | None:
         for part, star in zip(self.mono, self.stars):
             for cluster in self.clusters:
                 if len(cluster) < 3 or not set(cluster) <= star:
@@ -361,9 +339,8 @@ class _Reducer:
                 for a, b in added:
                     self.adj[a].add(b)
                     self.adj[b].add(a)
-                self.journal.append(("rewire", tuple(added), tuple(removed)))
-                return True
-        return False
+                return "rule5"
+        return None
 
     def _simple_hosts(self, cluster) -> tuple | None:
         """For an edge cluster, (u_hosts, v_hosts) when both endpoints see at
@@ -377,7 +354,7 @@ class _Reducer:
             hosts.append(tuple(ws))
         return hosts[0], hosts[1]
 
-    def _rule6(self) -> bool:
+    def _rule6(self) -> str | None:
         for cluster in self.clusters:
             if len(cluster) != 2:
                 continue
@@ -389,11 +366,11 @@ class _Reducer:
                 continue  # forms a matching with the modulator
             self.erased.append(cluster)
             for v in cluster:
-                self.remove_vertex(v, "rule6")
-            return True
-        return False
+                self.remove_vertex(v)
+            return "rule6"
+        return None
 
-    def _rule7(self) -> bool:
+    def _rule7(self) -> str | None:
         big = [c for c in self.clusters if len(c) >= 3]
         mod = sorted(self.mod & self.alive)
         for ui_idx, u in enumerate(mod):
@@ -407,10 +384,10 @@ class _Reducer:
                         hits += 1
                 if hits >= 3:
                     self.merge(self.group_of[u], self.group_of[up])
-                    return True
-        return False
+                    return "rule7"
+        return None
 
-    def _rule89(self) -> bool:
+    def _rule89(self) -> str | None:
         groups: dict[tuple, list[tuple[int, ...]]] = {}
         for c in self.clusters:
             if self.is_matching_cluster(c):
@@ -424,18 +401,16 @@ class _Reducer:
             victim = members[keep]
             self._record_twin(victim, nbrs, size)
             for v in victim:
-                self.remove_vertex(v, "rule8" if keep == 1 else "rule9")
-            if keep == 1:
-                self.blue.add(members[0])
-            return True
-        return False
+                self.remove_vertex(v)
+            return "rule8" if keep == 1 else "rule9"
+        return None
 
     def _record_twin(self, victim, nbrs, size) -> None:
         if size == 2 and len(nbrs) == 1:
             w = nbrs[0]
             attached = next(v for v in victim if w in self.adj[v])
             free = next(v for v in victim if v != attached)
-            self.pendant_twins.append(PendantUnit(attached, free, w, False))
+            self.pendant_twins.append(PendantUnit(attached, free, w))
             return
         self.erased.append(victim)
 
@@ -487,7 +462,6 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
     red.run()
     _structure_checks(red)
 
-    mono = tuple(frozenset(p) for p in red.mono)
     held: list[HeldCluster] = []
     pendants: list[PendantUnit] = list(red.pendant_twins)
     h_vertices = set(red.alive)
@@ -498,7 +472,7 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
             if len(cluster) == 2:
                 # Isolated edge component: its internal cut is a free part.
                 pendants.append(
-                    PendantUnit(cluster[0], cluster[1], -1, True)
+                    PendantUnit(cluster[0], cluster[1], -1)
                 )
             continue
         if not red.is_matching_cluster(cluster):
@@ -510,7 +484,7 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
             w = nbrs[0]
             attached = next(v for v in cluster if w in red.adj[v])
             free = next(v for v in cluster if v != attached)
-            pendants.append(PendantUnit(attached, free, w, True))
+            pendants.append(PendantUnit(attached, free, w))
         else:
             held.append(
                 HeldCluster(cluster, tuple(nbrs), tuple(red.boundary_edges(cluster)))
@@ -524,15 +498,12 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
     inst = ClusterInstance(
         graph=graph,
         modulator=mod,
-        mono=mono,
         work_edges=work_edges,
-        alive=tuple(sorted(red.alive)),
         h_vertices=tuple(sorted(h_vertices)),
         held=tuple(held),
         pendants=tuple(pendants),
         lift_entries=tuple(_erased_structure(graph, vs) for vs in red.erased),
-        blue=frozenset(red.blue),
-        journal=tuple(red.journal),
+        fired=tuple(red.fired),
     )
     r = len(mod)
     bound = r + (r + 6 * (r * (r - 1) // 2)) * (r + 3) + 10 * (r * (r - 1) // 2)
@@ -633,19 +604,22 @@ def extend_with_matching_clusters(
         yield frozenset(cut)
 
 
-class _LiftParts:
-    """Union-find over the part ids, with undo.
+@dataclass
+class LiftState:
+    """Branch state of stages 4 and 5 (see the module docstring).
 
-    Re-adding an erased structure's uncut edges may merge the parts they
-    join; the merge is feasible unless some current cut edge runs between
-    the two parts (it would stop separating).  Fresh ids are allocated for
-    new parts created by cut modes and for erased vertices.
-    """
+    ``cut`` holds the cut edges and ``saturated`` their endpoints.
+    ``part_of`` labels the components of (G - erased vertices) - cut, -1 on
+    the erased vertices that stage 5 has not placed.  The labels are ids of
+    a union-find with undo: ``parent`` links the ids and ``trail`` lists
+    the roots that were linked below another, newest last.  Fresh ids are
+    allocated for the new parts of cut modes and for erased vertices."""
 
-    def __init__(self, count: int):
-        self.parent = list(range(count))
-        self.trail: list[tuple[int, int]] = []
-        self.pairs: list[tuple[Edge, int, int]] = []  # cut edge, its parts
+    cut: set[Edge]
+    saturated: set[int]
+    part_of: list[int]
+    parent: list[int]
+    trail: list[int] = field(default_factory=list)
 
     def fresh(self) -> int:
         self.parent.append(len(self.parent))
@@ -656,50 +630,30 @@ class _LiftParts:
             x = self.parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.trail.append((rb, self.parent[rb]))
-            self.parent[rb] = ra
+    def link(self, ra: int, rb: int) -> None:
+        """Join the sets with the distinct roots ``ra`` and ``rb``."""
+        self.trail.append(rb)
+        self.parent[rb] = ra
 
-    def mark(self) -> tuple[int, int, int]:
-        return len(self.trail), len(self.pairs), len(self.parent)
+    def mark(self) -> tuple[int, int]:
+        return len(self.trail), len(self.parent)
 
-    def rollback(self, mark: tuple[int, int, int]) -> None:
-        t, q, n = mark
+    def rollback(self, mark: tuple[int, int]) -> None:
+        t, n = mark
         while len(self.trail) > t:
-            node, old = self.trail.pop()
-            self.parent[node] = old
-        del self.pairs[q:]
+            rb = self.trail.pop()
+            self.parent[rb] = rb
         del self.parent[n:]
 
-    def blocked_merge(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        for _edge_, pa, pb in self.pairs:
-            fa, fb = self.find(pa), self.find(pb)
-            if (fa, fb) in ((ra, rb), (rb, ra)):
+    def blocked_merge(self, ra: int, rb: int) -> bool:
+        """Whether a cut edge runs between the sets with roots ``ra`` and
+        ``rb``: joining them would leave it inside one part."""
+        find, part_of = self.find, self.part_of
+        for a, b in self.cut:
+            fa, fb = find(part_of[a]), find(part_of[b])
+            if (fa == ra and fb == rb) or (fa == rb and fb == ra):
                 return True
         return False
-
-    def record_cut(self, edge: Edge, pa: int, pb: int) -> None:
-        self.pairs.append((edge, pa, pb))
-
-
-@dataclass
-class LiftState:
-    """Branch state of stages 4 and 5 (see the module docstring).
-
-    ``cut`` holds the cut edges and ``saturated`` their endpoints.
-    ``part_of`` labels the components of (G - erased vertices) - cut, -1 on
-    the erased vertices that stage 5 has not placed; the labels are ids of
-    ``parts``, which records one pair per cut edge."""
-
-    cut: set[Edge]
-    saturated: set[int]
-    part_of: list[int]
-    parts: _LiftParts
 
 
 def extend_with_pendant_clusters(
@@ -716,10 +670,7 @@ def extend_with_pendant_clusters(
     potential cannot reach the target part count.  Yields the live
     ``LiftState`` at every leaf; read it before resuming."""
     count, part_of = component_labels(inst.graph.adj, cut, inst.lift_vertices)
-    parts = _LiftParts(count)
-    for a, b in cut:
-        parts.record_cut((a, b), part_of[a], part_of[b])
-    state = LiftState(set(cut), _saturated(cut), part_of, parts)
+    state = LiftState(set(cut), _saturated(cut), part_of, list(range(count)))
     current, saturated = state.cut, state.saturated
     pendants = inst.pendants
 
@@ -735,31 +686,28 @@ def extend_with_pendant_clusters(
         # Skip branch.
         yield from rec(idx + 1, reached)
         # Internal branch: the free endpoint becomes a singleton part.
-        mark = parts.mark()
+        mark = state.mark()
         shared = part_of[free]
-        part_of[free] = parts.fresh()
+        part_of[free] = state.fresh()
         internal = _edge(attached, free)
-        parts.record_cut(internal, shared, part_of[free])
         current.add(internal)
         saturated.update(internal)
         yield from rec(idx + 1, reached + 1)
         saturated.difference_update(internal)
         current.discard(internal)
         part_of[free] = shared
-        parts.rollback(mark)
+        state.rollback(mark)
         # Host branch: the whole unit becomes its own part.
         if unit.host >= 0 and unit.host not in saturated:
-            own = parts.fresh()
-            part_of[attached] = part_of[free] = own
+            part_of[attached] = part_of[free] = state.fresh()
             host_edge = _edge(attached, unit.host)
-            parts.record_cut(host_edge, part_of[unit.host], own)
             current.add(host_edge)
             saturated.update(host_edge)
             yield from rec(idx + 1, reached + 1)
             saturated.difference_update(host_edge)
             current.discard(host_edge)
             part_of[attached] = part_of[free] = shared
-            parts.rollback(mark)
+            state.rollback(mark)
 
     yield from rec(0, count)
 
@@ -768,8 +716,8 @@ def lift_cluster(
     inst: ClusterInstance, leaf: LiftState, ell: int,
     stats_out: dict | None = None,
 ) -> Iterator[Multicut]:
-    """Stage 5: replay the journal of erased structures in order on a
-    stage-4 leaf's live state, offering each structure every matching of
+    """Stage 5: visit the erased structures in erasure order on a stage-4
+    leaf's live state, offering each structure every matching of
     its edges that the state allows, and emit the canonical multicuts of
     the original graph that reach the target part count.  Once exhausted it
     leaves ``leaf`` as it found it.  Leaves whose cut is not exact are
@@ -799,8 +747,8 @@ def _leaf_multicut(
     union-find sets of those ids are the components of G - final."""
     matching_edges(inst.graph, final)
     labels = leaf.part_of
-    if leaf.parts.trail:  # some uncut structure joined two parts
-        labels = map(leaf.parts.find, labels)
+    if leaf.trail:  # some uncut structure joined two parts
+        labels = map(leaf.find, labels)
     # Number the parts by first appearance in vertex order.
     index: dict[int, int] = {}
     part_of = tuple([index.setdefault(x, len(index)) for x in labels])
@@ -811,60 +759,62 @@ def _leaf_multicut(
 def _replay(
     inst: ClusterInstance, leaf: LiftState, idx: int
 ) -> Iterator[set[Edge]]:
-    """Stage 5's recursion from journal entry ``idx`` on: yields the live
+    """Stage 5's recursion from erased structure ``idx`` on: yields the live
     cut at every leaf.  Each structure is offered its matchings that avoid
     the saturated vertices, and keeps those that ``_place`` accepts."""
     if idx == len(inst.lift_entries):
         yield leaf.cut
         return
     structure = inst.lift_entries[idx]
-    uf, part_of, cut, saturated = leaf.parts, leaf.part_of, leaf.cut, leaf.saturated
+    part_of, cut, saturated = leaf.part_of, leaf.cut, leaf.saturated
     for cut_edges, uncut, ends in structure.modes:
         if not saturated.isdisjoint(ends):
             continue
-        mark = uf.mark()
-        if _place(structure.vertices, cut_edges, uncut, part_of, uf):
+        mark = leaf.mark()
+        if _place(structure.vertices, cut_edges, uncut, leaf):
             cut.update(cut_edges)
             saturated.update(ends)
             yield from _replay(inst, leaf, idx + 1)
             saturated.difference_update(ends)
             cut.difference_update(cut_edges)
-        uf.rollback(mark)
+        leaf.rollback(mark)
         for v in structure.vertices:
             part_of[v] = -1
 
 
 def _place(
     vertices: tuple[int, ...], cut_edges: tuple[Edge, ...], uncut: tuple[Edge, ...],
-    part_of: list[int], uf: _LiftParts,
+    leaf: LiftState,
 ) -> bool:
-    """Label an erased structure's vertices in ``part_of`` and record its
-    cut edges in ``uf``; False if that makes some cut edge inexact.
+    """Label an erased structure's vertices in ``leaf.part_of``; False if
+    that makes some cut edge inexact.
 
     A vertex takes the id of the first labelled end of its uncut edges, or
     a fresh id; an uncut edge between two labelled sets joins them unless
-    a recorded cut edge runs between the two.  Then every cut edge must
-    run between two sets.  The caller rolls ``uf`` back either way."""
+    a cut edge of ``leaf.cut`` runs between the two.  Then every one of
+    ``cut_edges`` must run between two sets.  The caller rolls ``leaf``
+    back either way."""
+    part_of, find = leaf.part_of, leaf.find
     for a, b in uncut:
         pa, pb = part_of[a], part_of[b]
         if pa < 0 and pb < 0:
-            part_of[a] = part_of[b] = uf.fresh()
+            part_of[a] = part_of[b] = leaf.fresh()
         elif pa < 0:
             part_of[a] = pb
         elif pb < 0:
             part_of[b] = pa
-        elif uf.find(pa) != uf.find(pb):
-            if uf.blocked_merge(pa, pb):
-                return False
-            uf.union(pa, pb)
+        else:
+            ra, rb = find(pa), find(pb)
+            if ra != rb:
+                if leaf.blocked_merge(ra, rb):
+                    return False
+                leaf.link(ra, rb)
     for v in vertices:
         if part_of[v] < 0:
-            part_of[v] = uf.fresh()
+            part_of[v] = leaf.fresh()
     for a, b in cut_edges:
-        pa, pb = part_of[a], part_of[b]
-        if uf.find(pa) == uf.find(pb):
+        if find(part_of[a]) == find(part_of[b]):
             return False
-        uf.record_cut((a, b), pa, pb)
     return True
 
 

@@ -231,12 +231,12 @@ def parse_graph(text: str | bytes, fmt: str = "auto") -> Graph:
             f"vertex id {max_seen} exceeds declared count {n_declared}"
         )
     graph = Graph.from_edges(n, edges)
-    if m_declared is not None and graph.m != m_declared:
-        # Duplicate lines collapse, so only complain when there are too few.
-        if graph.m > m_declared:
-            raise GraphFormatError(
-                f"header declares {m_declared} edges but found {graph.m}"
-            )
+    # Duplicate lines collapse, so fewer distinct edges than declared are
+    # accepted; only more than declared is an error.
+    if m_declared is not None and graph.m > m_declared:
+        raise GraphFormatError(
+            f"header declares {m_declared} edges but found {graph.m}"
+        )
     return graph
 
 

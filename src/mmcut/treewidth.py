@@ -154,6 +154,8 @@ def parse_td(text: str) -> TreeDecomposition:
             if len(parts) < 2:
                 raise TreeDecompositionError(f"line {lineno}: bag line without an id")
             idx = int(parts[1])
+            if idx - 1 in bags:
+                raise TreeDecompositionError(f"line {lineno}: bag {idx} given twice")
             bags[idx - 1] = frozenset(int(x) - 1 for x in parts[2:])
         else:
             if len(parts) != 2:
@@ -162,6 +164,9 @@ def parse_td(text: str) -> TreeDecomposition:
     if header is None:
         raise TreeDecompositionError("missing 's td' header")
     num_bags, _width_plus, n = header
+    for idx in bags:
+        if not 0 <= idx < num_bags:
+            raise TreeDecompositionError(f"bag {idx + 1} is outside 1..{num_bags}")
     if len(bags) != num_bags:
         raise TreeDecompositionError(
             f"header declares {num_bags} bags, found {len(bags)}"

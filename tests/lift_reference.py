@@ -2,7 +2,7 @@
 leaf.
 
 Stage 4 yields each leaf's cut as a frozenset and keeps no part labelling.
-Stage 5 is brute force: it visits the erased structures in journal order,
+Stage 5 is brute force: it visits the erased structures in erasure order,
 offers each every matching of its edges that avoids the saturated
 vertices, and keeps the leaves that ``max_parts_of_cut`` finds exact with
 at least ell parts.  ``enum_cluster`` shares one live ``LiftState`` between
@@ -114,7 +114,7 @@ def structure_matchings(graph: Graph, vertices) -> list[tuple[Edge, ...]]:
 def lift_cluster(
     graph: Graph, modes: list[list[tuple[Edge, ...]]], cut: frozenset[Edge], ell: int,
 ) -> Iterator[Multicut]:
-    """Stage 5: each erased structure in journal order takes each of its
+    """Stage 5: each erased structure in erasure order takes each of its
     ``modes`` that avoids the saturated vertices; a leaf is emitted when
     its cut is exact and has at least ``ell`` parts."""
     current = set(cut)

@@ -102,6 +102,20 @@ class TestMaxparts:
         )
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("text, message", [
+        ("s td 1 5 4\nb 0 1 2 3 4\n", "bag 0 is outside 1..1"),
+        ("s td 2 3 4\nb 1 1 2\nb 1 3 4\n1 2\n", "bag 1 given twice"),
+    ], ids=["bag-zero", "bag-twice"])
+    def test_bad_bag_id_exit_two(self, tmp_path, capsys, text, message):
+        graph = tmp_path / "two-edges.gr"
+        graph.write_text("p tw 4 2\n1 2\n3 4\n")
+        td = tmp_path / "bad.td"
+        td.write_text(text)
+        code, out, err = run_cli(
+            ["maxparts", "--engine", "treewidth", "--td", str(td), str(graph)], capsys
+        )
+        assert code == 2 and out == "" and message in err
+
 
 class TestEnumerate:
     def test_json_lines(self, c6, capsys):

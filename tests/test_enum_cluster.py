@@ -68,6 +68,10 @@ def caterpillar(spine: int, legs: int) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
+# The rules that edit the graph; rules 1, 2 and 7 merge modulator groups.
+EDIT_RULES = {"rule3", "rule4", "rule5", "rule6", "rule8", "rule9"}
+
+
 def leaf_cuts(inst, cut, ell, extra=0):
     """Stage 4's leaves, each read off the live state while iterating."""
     return [frozenset(leaf.cut)
@@ -81,7 +85,7 @@ class TestReduce:
         edges = [(2, 3), (3, 4), (2, 4), (0, 2), (0, 3), (1, 3), (1, 4)]
         g = Graph.from_edges(5, edges)
         inst = reduce_cluster_instance(g, frozenset({0, 1}))
-        assert len(inst.mono) == 1
+        assert inst.fired[0] == "rule1"
 
     def test_rule4_strips_unattached_vertex(self):
         # K4 cluster with one vertex seeing the modulator twice.
@@ -89,8 +93,7 @@ class TestReduce:
                  (0, 1), (0, 2)]
         g = Graph.from_edges(5, edges)
         inst = reduce_cluster_instance(g, frozenset({0}))
-        removed = [e for e in inst.journal if e[0] == "remove" and e[1] == "rule4"]
-        assert removed, "the degree-free clique vertex must be removed"
+        assert "rule4" in inst.fired, "the degree-free clique vertex must be removed"
 
     def test_rule6_erases_clashing_edge_cluster(self):
         # A fixed triangle merges the two modulator groups; the edge
@@ -100,16 +103,16 @@ class TestReduce:
                  (4, 5), (5, 6), (4, 6), (0, 4), (0, 5), (1, 5), (1, 6)]
         g = Graph.from_edges(7, edges)
         inst = reduce_cluster_instance(g, frozenset({0, 1}))
-        assert len(inst.mono) == 1
+        assert inst.fired == ("rule1", "rule5", "rule6")
         # Its edges: the internal one, then the boundary in host order.
         assert inst.lift_entries == (ErasedStructure((2, 3), ((2, 3), (0, 2), (1, 2))),)
 
-    def test_rule8_twin_erasure_and_blue(self):
+    def test_rule8_twin_erasure(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
         inst = reduce_cluster_instance(g, frozenset({0}))
-        assert any(e[0] == "remove" and e[1] == "rule8" for e in inst.journal)
-        assert inst.blue == {(1, 2)}
-        assert len(inst.pendants) == 2  # kept unit plus the erased twin
+        assert inst.fired == ("rule8",)
+        # The kept unit plus the erased twin.
+        assert inst.pendants == (PendantUnit(1, 2, 0), PendantUnit(3, 4, 0))
 
     def test_rule9_keeps_two(self):
         edges = []
@@ -118,20 +121,13 @@ class TestReduce:
             edges += [(a, b), (0, a), (1, b)]
         g = Graph.from_edges(8, edges)
         inst = reduce_cluster_instance(g, frozenset({0, 1}))
-        removed = [e for e in inst.journal if e[0] == "remove" and e[1] == "rule9"]
-        assert len(removed) == 2  # one two-vertex twin erased
+        assert inst.fired == ("rule9",)  # one two-vertex twin erased
+        assert inst.lift_entries == (ErasedStructure((6, 7), ((6, 7), (0, 6), (1, 7))),)
 
     def test_fixed_point_no_rules(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         inst = reduce_cluster_instance(g, frozenset({1, 2}))
-        assert inst.journal == ()
-
-    def test_journal_reconstructs_original(self, rng):
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.6]))
-            mod = approx_cluster_modulator(g)
-            inst = reduce_cluster_instance(g, mod)
-            assert inst.reconstruct_edges() == frozenset(g.edges())
+        assert inst.fired == ()
 
     def test_round_snapshot_describes_reduced_graph(self, rng):
         # Clusters, group index and stars are taken once per rule round;
@@ -142,7 +138,7 @@ class TestReduce:
             mod = approx_cluster_modulator(g).vertices
             red = _Reducer(g, mod)
             red.run()
-            reduced_any |= bool(red.journal)
+            reduced_any |= not EDIT_RULES.isdisjoint(red.fired)
             merged_any |= len(red.mono) < len(mod)
             work = Graph.from_edges(
                 g.n, [(u, v) for u in red.alive for v in red.adj[u] if u < v]
@@ -322,9 +318,8 @@ class TestInstanceObject:
         inst = reduce_cluster_instance(g, mod)
         assert isinstance(inst, ClusterInstance)
         assert set(inst.modulator) == set(mod)
-        assert all(u in mod for part in inst.mono for u in part)
-        kept = [p for p in inst.pendants if p.kept]
-        assert len(kept) == 2
+        assert inst.fired == ()  # no twin erased: both units are kept
+        assert len(inst.pendants) == 2
 
     def test_triangle_modes_keep_internal_edges(self):
         # THREE_HOST_TWIN's erased triangle has 14 matchings.  Cutting one
@@ -344,10 +339,51 @@ class TestInstanceObject:
             (), ((2, 3),), ((0, 2),), ((1, 2),)]
 
 
+def three_matched_triangles() -> Graph:
+    """Triangles {2, 3, 4}, {5, 6, 7} and {8, 9, 10}, each matched to
+    modulator vertices 0 and 1, and an isolated vertex 11."""
+    edges = []
+    for a in (2, 5, 8):
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2), (0, a), (1, a + 1)]
+    return Graph.from_edges(12, edges)
+
+
+class TestRulesFire:
+    """Rules 2, 3, 5 and 7 on fixed graphs: each firing shows in ``fired``
+    and the streams still equal the oracle's."""
+
+    @pytest.mark.parametrize("g, mod, fired", [
+        # Modulator vertices 3 and 4 share the neighbours 2, 5 and 6, so
+        # rule 2 merges their groups; the merged group then glues the
+        # clusters {5} and {6}, which rule 3 joins.
+        (Graph.from_edges(7, [(0, 5), (1, 4), (2, 3), (2, 4), (2, 6), (3, 5), (3, 6),
+                              (4, 5), (4, 6)]),
+         frozenset({0, 2, 3, 4}), ("rule2", "rule3")),
+        # The triangle {2, 4, 6} sees the modulator vertex 5 twice, so it
+        # lies in that group's star; rule 5 rewires its host edges 5-4 and
+        # 5-6 to 5-2 and 5-4.
+        (Graph.from_edges(7, [(0, 3), (0, 5), (1, 5), (2, 4), (2, 6), (4, 5), (4, 6),
+                              (5, 6)]),
+         frozenset({0, 3, 5}), ("rule5",)),
+        # Three triangles span modulator vertices 0 and 1: rule 7 merges
+        # their groups, then rule 8 erases two of the triangles as twins.
+        # The isolated vertex gives the ell-3 stream its third part.
+        (three_matched_triangles(), frozenset({0, 1}), ("rule7", "rule8", "rule8")),
+    ], ids=["rules2_3", "rule5", "rule7"])
+    def test_fired_and_stream_equals_oracle(self, g, mod, fired):
+        inst = reduce_cluster_instance(g, mod)
+        assert inst.fired == fired
+        for ell in (1, 2, 3):
+            got = [c.cut_edges for c in enumerate_cluster(g, mod, ell)]
+            assert got, "every stream is non-empty"
+            assert len(got) == len(set(got)) and set(got) == oracle_solution_set(g, ell)
+
+
 class TestRuleSafeness:
     def test_single_rule_instances_match_oracle(self, rng):
-        # Instances where exactly one reduction rule kind fired: the
-        # pipeline must still reproduce the oracle's solution set exactly.
+        # Instances where exactly one kind of edit rule fired (merges
+        # aside): the pipeline must still reproduce the oracle's solution
+        # set exactly.
         seen_kinds = set()
         trials = 0
         while trials < 400 and len(seen_kinds) < 5:
@@ -355,8 +391,7 @@ class TestRuleSafeness:
             g = random_graph(rng, rng.randint(3, 9), rng.choice([0.3, 0.5, 0.8]))
             mod = approx_cluster_modulator(g)
             inst = reduce_cluster_instance(g, mod)
-            kinds = {e[1] for e in inst.journal if e[0] == "remove"}
-            kinds |= {e[0] for e in inst.journal if e[0] != "remove"}
+            kinds = EDIT_RULES.intersection(inst.fired)
             if len(kinds) != 1:
                 continue
             seen_kinds |= kinds
@@ -375,7 +410,7 @@ class TestStageExamples:
         outs = leaf_cuts(inst, frozenset(), 1)
         assert outs == [frozenset()]
 
-    def test_empty_journal_singleton_lift(self):
+    def test_no_erasure_singleton_lift(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         inst = reduce_cluster_instance(g, frozenset({0, 1}))
         assert inst.lift_entries == ()
@@ -406,7 +441,7 @@ class TestStageExamples:
                  (3, 4), (3, 5), (4, 5), (0, 1), (0, 2)]
         g = Graph.from_edges(6, edges)
         inst = reduce_cluster_instance(g, frozenset({0}))
-        assert any(e[0] == "remove" and e[1] == "rule4" for e in inst.journal)
+        assert inst.fired == ("rule4", "rule4")
         for ell in (1, 2):
             want = oracle_solution_set(g, ell)
             got = {c.cut_edges for c in enumerate_cluster(g, frozenset({0}), ell)}
@@ -420,9 +455,8 @@ def _blocks(labels):
 
 
 def _state(leaf):
-    parts = leaf.parts
     return (frozenset(leaf.cut), frozenset(leaf.saturated), tuple(leaf.part_of),
-            tuple(parts.parent), tuple(parts.trail), tuple(parts.pairs))
+            tuple(leaf.parent), tuple(leaf.trail))
 
 
 def checked_stream(g, mod, ell):
@@ -502,7 +536,8 @@ class TestLiftStateEquivalence:
         inst = reduce_cluster_instance(g, mod)
         assert inst.lift_entries == (ErasedStructure(
             (9, 10, 11), ((9, 10), (9, 11), (10, 11), (3, 9), (4, 10), (5, 11))),)
-        assert len(inst.mono) == 3 and len(inst.pendants) == 1
+        assert inst.fired == ("rule8",)  # no group merge
+        assert len(inst.pendants) == 1
         self.assert_same(g, mod, (1, 2, 3, 4, 5))
         # Its uncut modes join all three host parts, each join checked.
         for ell in (1, 2, 3, 4, 5):
@@ -681,7 +716,7 @@ class TestInvariants:
         g, mod = pendant_farm(1, 1)
         monkeypatch.setattr(
             enum_cluster, "PendantUnit",
-            lambda attached, free, host, kept: PendantUnit(free, attached, host, kept))
+            lambda attached, free, host: PendantUnit(free, attached, host))
         with pytest.raises(InvariantError, match="is not pendant"):
             reduce_cluster_instance(g, mod)
 

@@ -58,6 +58,14 @@ class TestParsing:
         g = parse_graph("p tw 3 2\n1 2\n2 1\n1 3\n")
         assert g.m == 2
 
+    def test_edge_count_against_header(self):
+        # Fewer distinct edges than declared are accepted (duplicate lines
+        # collapse); more are rejected.
+        g = parse_graph("p tw 3 3\n1 2\n2 1\n1 3\n")
+        assert g.m == 2
+        with pytest.raises(GraphFormatError, match="declares 1 edges but found 2"):
+            parse_graph("p tw 3 1\n1 2\n2 1\n1 3\n")
+
     def test_bare_edge_list(self):
         g = parse_graph("1 2\n2 3\n")
         assert (g.n, g.m) == (3, 2)

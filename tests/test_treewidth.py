@@ -62,12 +62,23 @@ class TestParseTd:
             "s td 4 2 4\nb 1 1 2\nb 2 1 2\nb 3 3 4\nb 4 3 4\n1 2\n2 1\n3 4\n",
             "s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 3\n",  # edge to a missing bag
             "s td 1 2 4\nb\n",  # bag line without an id
+            "s td 1 5 4\nb 0 1 2 3 4\n",  # bag id below 1
+            "s td 2 3 4\nb 1 1 2\nb 1 3 4\n1 2\n",  # bag 1 given twice
         ],
     )
     def test_malformed_rejected(self, text):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(TreeDecompositionError):
             parse_td(text).validate(g)
+
+    @pytest.mark.parametrize("text, message", [
+        ("s td 1 5 4\nb 0 1 2 3 4\n", "bag 0 is outside 1..1"),
+        ("s td 2 3 4\nb 1 1 2\nb 3 3 4\n1 2\n", "bag 3 is outside 1..2"),
+        ("s td 2 3 4\nb 1 1 2\nb 1 3 4\n1 2\n", "line 3: bag 1 given twice"),
+    ])
+    def test_bad_bag_id_named(self, text, message):
+        with pytest.raises(TreeDecompositionError, match=message):
+            parse_td(text)
 
     def test_roundtrip(self):
         td = heuristic_decomposition(cycle_graph(6))
