@@ -94,9 +94,9 @@ def _modulator_for(
     graph: Graph, param: str, ids: tuple[int, ...] | None
 ) -> Modulator:
     kind, approximate = _MODULATORS[param]
-    if not ids:
+    if ids is None:
         return approximate(graph)
-    if max(ids) > graph.n:
+    if ids and max(ids) > graph.n:
         raise ValueError(f"modulator vertex {max(ids)} is not in the graph")
     mod = Modulator(kind, frozenset(v - 1 for v in ids))
     if not mod.check(graph):
@@ -237,8 +237,9 @@ def _agreement(graph: Graph, ell: int) -> tuple[bool, list[str]]:
     """The three maxparts engines against each other and the three
     enumeration pipelines against the oracle."""
     counts = {
-        engine: _maxparts(graph, engine, None)[0]
-        for engine in ("oracle", "branching", "treewidth")
+        "oracle": oracle.max_parts(graph),
+        "branching": solve_max(graph)[0],
+        "treewidth": _treewidth_max_parts(graph, None),
     }
     ok = len(set(counts.values())) == 1
     reports = [f"maxparts: {counts} {'AGREE' if ok else 'DISAGREE'}"]

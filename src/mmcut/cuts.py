@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, component_labels
 
@@ -90,11 +90,6 @@ def crossing_edges(graph: Graph, part_of: Sequence[int]) -> frozenset[Edge]:
 
 
 def _as_part_list(graph: Graph, part_of) -> list[int]:
-    if isinstance(part_of, Mapping):
-        missing = [v for v in range(graph.n) if v not in part_of]
-        if missing:
-            raise ValueError(f"part assignment missing vertices {missing}")
-        return [part_of[v] for v in range(graph.n)]
     lst = list(part_of)
     if len(lst) != graph.n:
         raise ValueError("part assignment must cover every vertex")

@@ -3,6 +3,8 @@
 Five-stage pipeline.  Stage 1 applies reduction rules 1-9, maintaining a
 partition of the modulator into monochromatic groups, recording every
 erased structure in erasure order and the rule applied in each round.
+Each round derives every cluster's facts (its modulator neighbours) and
+the groups' stars in one pass over the clusters.
 Stage 2 exhaustively enumerates the core instance H (everything except
 matching clusters attached to a single monochromatic group).  Stage 3
 re-attaches the non-pendant held-out clusters through a set-packing
@@ -40,8 +42,10 @@ whoever closes it closes the stage-4 generator along with it, as
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Iterator
 
 # max_parts_of_cut is not called here; it stays a module attribute so that
@@ -156,16 +160,55 @@ class ClusterInstance:
         return frozenset(e for e in self.work_edges if e not in original)
 
 
+@dataclass(slots=True)
+class _Cluster:
+    """One cluster of a stage-1 round: its vertices (sorted), their set,
+    each vertex's modulator neighbours (sorted, in the order of
+    ``vertices``) and the sorted union of those, ``nbrs``."""
+
+    vertices: tuple[int, ...]
+    vset: frozenset[int]
+    hosts: tuple[tuple[int, ...], ...]
+    nbrs: tuple[int, ...]
+
+    @property
+    def matching(self) -> bool:
+        """Whether its modulator edges form a non-empty matching: each
+        attached vertex has one host and no host sees two of them."""
+        attached = [h for h in self.hosts if h]
+        return bool(attached) and (
+            len(attached) == len(self.nbrs) == sum(map(len, attached))
+        )
+
+    @property
+    def boundary(self) -> tuple[Edge, ...]:
+        """Its modulator edges, sorted."""
+        return tuple(sorted(
+            _edge(v, w) for v, h in zip(self.vertices, self.hosts) for w in h
+        ))
+
+    def pendant(self) -> PendantUnit:
+        """The unit of a two-vertex cluster with at most one modulator
+        edge; the host is -1 when it has none."""
+        (a, b), (ha, hb) = self.vertices, self.hosts
+        if hb:
+            a, b, ha = b, a, hb
+        return PendantUnit(a, b, ha[0] if ha else -1)
+
+
 class _Reducer:
     """Rules 1-9 of stage 1 over a mutable copy of the graph.
 
-    Each round takes one snapshot of the derived structure: ``clusters``
-    (components of the alive vertices outside the modulator, ordered by
-    smallest vertex), ``group_of`` (modulator vertex -> index in ``mono``)
-    and ``stars`` (``nstar`` of every group).  Every rule returns its name
-    as soon as it changes the graph or the groups, and a falsy value when
-    it does not apply, so a round holds at most one mutation, every probe
-    in it reads an exact snapshot, and ``fired`` lists one name per round.
+    Each round takes one snapshot of the derived structure, in one pass
+    over the clusters: ``clusters`` (a ``_Cluster`` per component of the
+    alive vertices outside the modulator, ordered by smallest vertex),
+    ``group_of`` (modulator vertex -> index in ``mono``) and ``stars``
+    (per group, the vertices outside the modulator glued to it).  Every
+    rule returns its name as soon as it changes the graph or the groups,
+    and a falsy value when it does not apply, so a round holds at most one
+    mutation, every probe in it reads an exact snapshot, and ``fired``
+    lists one name per round.  ``adj`` holds only alive vertices, and no
+    rule removes a modulator vertex.
     """
 
     def __init__(self, graph: Graph, modulator: frozenset[int]):
@@ -177,70 +220,53 @@ class _Reducer:
         self.fired: list[str] = []
         self.erased: list[tuple[int, ...]] = []  # lifted by stage 5
         self.pendant_twins: list[PendantUnit] = []
-        self.clusters: list[tuple[int, ...]] = []
+        self.clusters: list[_Cluster] = []
         self.group_of: dict[int, int] = {}
         self.stars: list[set[int]] = []
 
     # -- bookkeeping helpers ------------------------------------------------
 
     def snapshot(self) -> None:
-        skip = [
-            v for v in range(self.graph.n) if v in self.mod or v not in self.alive
-        ]
-        count, label = component_labels(self.adj, skip=skip)
+        mod, adj = self.mod, self.adj
+        skip = [v for v in range(self.graph.n) if v in mod or v not in self.alive]
+        count, label = component_labels(adj, skip=skip)
         members: list[list[int]] = [[] for _ in range(count)]
         for v, c in enumerate(label):
             if c >= 0:
                 members[c].append(v)
-        self.clusters = [tuple(m) for m in members]
-        self.group_of = {u: i for i, part in enumerate(self.mono) for u in part}
-        self.stars = [self.nstar(part) for part in self.mono]
+        self.group_of = group_of = {
+            u: i for i, part in enumerate(self.mono) for u in part
+        }
+        self.stars = stars = [set() for _ in self.mono]
+        self.clusters = []
+        for m in members:
+            hosts = tuple(tuple(sorted(u for u in adj[v] if u in mod)) for v in m)
+            seen = Counter(w for h in hosts for w in h)  # host -> its neighbours here
+            c = _Cluster(tuple(m), frozenset(m), hosts, tuple(sorted(seen)))
+            self.clusters.append(c)
+            # A cluster joins the star of group P whole when it has three or
+            # more vertices and one of them has two neighbours in P, or when
+            # a vertex of P has two neighbours in it; otherwise only its
+            # vertices with two neighbours in P join.
+            glued: dict[int, list[int]] = {}
+            for v, h in zip(m, hosts):
+                if len(h) >= 2:
+                    for g, k in Counter(group_of[w] for w in h).items():
+                        if k >= 2:
+                            glued.setdefault(g, []).append(v)
+            whole = {group_of[w] for w, k in seen.items() if k >= 2}
+            if len(m) >= 3:
+                whole.update(glued)
+            for g in whole:
+                stars[g] |= c.vset
+            for g, vs in glued.items():
+                if g not in whole:
+                    stars[g].update(vs)
 
     def merge(self, i: int, j: int) -> None:
         a, b = min(i, j), max(i, j)
         self.mono[a] |= self.mono[b]
         del self.mono[b]
-
-    def cluster_nbrs(self, cluster) -> set[int]:
-        out = set()
-        for v in cluster:
-            out.update(u for u in self.adj[v] if u in self.mod)
-        return out
-
-    def boundary_edges(self, cluster) -> list[Edge]:
-        return sorted(
-            _edge(v, u)
-            for v in cluster for u in self.adj[v] if u in self.mod
-        )
-
-    def is_matching_cluster(self, cluster) -> bool:
-        nbrs = self.cluster_nbrs(cluster)
-        if not nbrs:
-            return False
-        for v in cluster:
-            if sum(1 for u in self.adj[v] if u in self.mod) > 1:
-                return False
-        for w in nbrs:
-            if sum(1 for v in self.adj[w] if v in cluster) > 1:
-                return False
-        return True
-
-    def nstar(self, part: set[int]) -> set[int]:
-        """Vertices outside the modulator glued to this monochromatic group."""
-        out: set[int] = set()
-        for cluster in self.clusters:
-            cset = set(cluster)
-            glued = [
-                v for v in cluster
-                if sum(1 for u in self.adj[v] if u in part) >= 2
-            ]
-            if (len(cluster) >= 3 and glued) or any(
-                sum(1 for z in self.adj[u] if z in cset) >= 2 for u in part
-            ):
-                out |= cset
-            else:
-                out.update(glued)
-        return out
 
     def remove_vertex(self, v: int) -> None:
         for u in self.adj[v]:
@@ -275,20 +301,19 @@ class _Reducer:
         return None
 
     def _rule2(self) -> str | None:
-        mod = sorted(self.mod & self.alive)
+        mod = sorted(self.mod)
         for ui_idx, u in enumerate(mod):
             for up in mod[ui_idx + 1:]:
                 if self.group_of[u] == self.group_of[up]:
                     continue
-                common = self.adj[u] & self.adj[up] & self.alive
-                if len(common) >= 3:
+                if len(self.adj[u] & self.adj[up]) >= 3:
                     self.merge(self.group_of[u], self.group_of[up])
                     return "rule2"
         return None
 
     def _rule3(self) -> str | None:
         for star in self.stars:
-            inside = [c for c in self.clusters if set(c) <= star]
+            inside = [c.vertices for c in self.clusters if c.vset <= star]
             if len(inside) >= 2:
                 c1, c2 = inside[0], inside[1]
                 for a in c1:
@@ -299,28 +324,28 @@ class _Reducer:
         return None
 
     def _rule4(self) -> str | None:
-        for cluster in self.clusters:
-            if len(cluster) <= 3:
+        for c in self.clusters:
+            if len(c.vertices) <= 3:
                 continue
-            for v in cluster:
-                if not any(u in self.mod for u in self.adj[v]):
+            for v, h in zip(c.vertices, c.hosts):
+                if not h:
                     self.remove_vertex(v)
                     return "rule4"
         return None
 
     def _rule5(self) -> str | None:
         for part, star in zip(self.mono, self.stars):
-            for cluster in self.clusters:
-                if len(cluster) < 3 or not set(cluster) <= star:
+            for c in self.clusters:
+                cluster = c.vertices
+                if len(cluster) < 3 or not c.vset <= star:
                     continue
-                cset = set(cluster)
                 u = min(part)
                 expected = {_edge(u, cluster[0]), _edge(u, cluster[1])}
                 if len(part) == 2:
                     expected.add(_edge(max(part), cluster[2]))
                 current = {
-                    _edge(w, c)
-                    for w in part for c in self.adj[w] if c in cset
+                    _edge(w, v)
+                    for v, h in zip(cluster, c.hosts) for w in h if w in part
                 }
                 clique_missing = []
                 if len(part) > 2:
@@ -342,109 +367,79 @@ class _Reducer:
                 return "rule5"
         return None
 
-    def _simple_hosts(self, cluster) -> tuple | None:
-        """For an edge cluster, (u_hosts, v_hosts) when both endpoints see at
-        most one monochromatic group each; None when an endpoint is
-        ambiguous."""
-        hosts = []
-        for a in cluster:
-            ws = sorted(w for w in self.adj[a] if w in self.mod)
-            if len({self.group_of[w] for w in ws}) > 1:
-                return None
-            hosts.append(tuple(ws))
-        return hosts[0], hosts[1]
-
     def _rule6(self) -> str | None:
-        for cluster in self.clusters:
-            if len(cluster) != 2:
-                continue
-            hosts = self._simple_hosts(cluster)
-            if hosts is None:
-                continue
-            u_hosts, v_hosts = hosts
-            if len(u_hosts) <= 1 and len(v_hosts) <= 1:
-                continue  # forms a matching with the modulator
-            self.erased.append(cluster)
-            for v in cluster:
+        for c in self.clusters:
+            if len(c.vertices) != 2 or all(len(h) <= 1 for h in c.hosts):
+                continue  # not an edge cluster, or a matching with the modulator
+            if any(len({self.group_of[w] for w in h}) > 1 for h in c.hosts):
+                continue  # an endpoint sees two monochromatic groups
+            self.erased.append(c.vertices)
+            for v in c.vertices:
                 self.remove_vertex(v)
             return "rule6"
         return None
 
     def _rule7(self) -> str | None:
-        big = [c for c in self.clusters if len(c) >= 3]
-        mod = sorted(self.mod & self.alive)
-        for ui_idx, u in enumerate(mod):
-            for up in mod[ui_idx + 1:]:
-                if self.group_of[u] == self.group_of[up]:
-                    continue
-                hits = 0
-                for c in big:
-                    cset = set(c)
-                    if self.adj[u] & cset and self.adj[up] & cset:
-                        hits += 1
-                if hits >= 3:
-                    self.merge(self.group_of[u], self.group_of[up])
-                    return "rule7"
+        hits = Counter(
+            pair for c in self.clusters if len(c.vertices) >= 3
+            for pair in combinations(c.nbrs, 2)
+        )
+        for (u, up), k in sorted(hits.items()):
+            if k >= 3 and self.group_of[u] != self.group_of[up]:
+                self.merge(self.group_of[u], self.group_of[up])
+                return "rule7"
         return None
 
     def _rule89(self) -> str | None:
-        groups: dict[tuple, list[tuple[int, ...]]] = {}
+        # Clusters are ordered by smallest vertex, so each list is sorted.
+        groups: dict[tuple, list[_Cluster]] = {}
         for c in self.clusters:
-            if self.is_matching_cluster(c):
-                key = (len(c), tuple(sorted(self.cluster_nbrs(c))))
-                groups.setdefault(key, []).append(c)
+            if c.matching:
+                groups.setdefault((len(c.vertices), c.nbrs), []).append(c)
         for (size, nbrs), members in sorted(groups.items()):
-            members.sort()
             keep = 2 if (size == 2 and len(nbrs) == 2) else 1
             if len(members) <= keep:
                 continue
             victim = members[keep]
-            self._record_twin(victim, nbrs, size)
-            for v in victim:
+            if size == 2 and len(nbrs) == 1:
+                self.pendant_twins.append(victim.pendant())
+            else:
+                self.erased.append(victim.vertices)
+            for v in victim.vertices:
                 self.remove_vertex(v)
             return "rule8" if keep == 1 else "rule9"
         return None
-
-    def _record_twin(self, victim, nbrs, size) -> None:
-        if size == 2 and len(nbrs) == 1:
-            w = nbrs[0]
-            attached = next(v for v in victim if w in self.adj[v])
-            free = next(v for v in victim if v != attached)
-            self.pendant_twins.append(PendantUnit(attached, free, w))
-            return
-        self.erased.append(victim)
 
 
 def _structure_checks(red: _Reducer) -> None:
     r = len(red.mod)
     pair_bound = 3 * (r * (r - 1) // 2)
-    ambiguous = [
-        v for v in red.alive - red.mod
-        if len({red.group_of[w] for w in red.adj[v] if w in red.mod}) >= 2
-    ]
+    group_of, clusters = red.group_of, red.clusters
+    ambiguous = {
+        v for c in clusters for v, h in zip(c.vertices, c.hosts)
+        if len({group_of[w] for w in h}) >= 2
+    }
     if len(ambiguous) > pair_bound:
         raise InvariantError("too many ambiguous vertices")
-    clusters = red.clusters
     # A cluster keeps at most 3 rewired host edges plus one attachment per
     # other monochromatic group; oversized remainders lose their unattached
     # vertices.
     size_cap = r + 3
-    if any(len(c) > size_cap for c in clusters):
+    if any(len(c.vertices) > size_cap for c in clusters):
         raise InvariantError("oversized cluster")
     spanning = [
         c for c in clusters
-        if len(c) >= 3 and red.is_matching_cluster(c)
-        and len({red.group_of[w] for w in red.cluster_nbrs(c)}) >= 2
+        if len(c.vertices) >= 3 and c.matching
+        and len({group_of[w] for w in c.nbrs}) >= 2
     ]
     if len(spanning) > pair_bound:
         raise InvariantError("too many spanning matching clusters")
-    fixed_or_ambig = 0
-    amb = set(ambiguous)
-    for c in clusters:
-        if len(c) == 2:
-            continue
-        if any(set(c) <= s for s in red.stars) or amb.intersection(c):
-            fixed_or_ambig += 1
+    fixed_or_ambig = sum(
+        1 for c in clusters
+        if len(c.vertices) != 2 and (
+            any(c.vset <= s for s in red.stars) or not ambiguous.isdisjoint(c.vertices)
+        )
+    )
     if fixed_or_ambig > r + pair_bound:
         raise InvariantError("too many fixed/ambiguous clusters")
 
@@ -465,30 +460,16 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
     held: list[HeldCluster] = []
     pendants: list[PendantUnit] = list(red.pendant_twins)
     h_vertices = set(red.alive)
-    for cluster in red.clusters:
-        nbrs = sorted(red.cluster_nbrs(cluster))
-        if not nbrs:
-            h_vertices.difference_update(cluster)
-            if len(cluster) == 2:
-                # Isolated edge component: its internal cut is a free part.
-                pendants.append(
-                    PendantUnit(cluster[0], cluster[1], -1)
-                )
-            continue
-        if not red.is_matching_cluster(cluster):
-            continue
-        if len({red.group_of[w] for w in nbrs}) != 1:
-            continue
-        h_vertices.difference_update(cluster)
-        if len(cluster) == 2 and len(nbrs) == 1:
-            w = nbrs[0]
-            attached = next(v for v in cluster if w in red.adj[v])
-            free = next(v for v in cluster if v != attached)
-            pendants.append(PendantUnit(attached, free, w))
-        else:
-            held.append(
-                HeldCluster(cluster, tuple(nbrs), tuple(red.boundary_edges(cluster)))
-            )
+    for c in red.clusters:
+        if c.nbrs and not (c.matching and len({red.group_of[w] for w in c.nbrs}) == 1):
+            continue  # stays in the core
+        h_vertices.difference_update(c.vertices)
+        if len(c.vertices) == 2 and len(c.nbrs) <= 1:
+            # A pendant edge cluster, or an isolated edge component whose
+            # internal cut is a free part.
+            pendants.append(c.pendant())
+        elif c.nbrs:
+            held.append(HeldCluster(c.vertices, c.nbrs, c.boundary))
     pendants.sort(key=lambda p: (p.attached, p.free))
     held.sort(key=lambda c: c.vertices)
 

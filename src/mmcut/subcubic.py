@@ -375,14 +375,19 @@ def kernelize_subcubic(graph: Graph, ell: int) -> KernelizeResult:
         # Other components contribute one part each.
         target = max(1, ell - (len(comps) - 1))
         cut = _component_construction(sub, target)
-        if cut is not None:
-            matching = [(ids[u], ids[v]) for u, v in cut.cut_edges]
-            lifted = max_parts_of_cut(graph, matching)
-            if lifted.p >= ell:
-                problem = validate_multicut(graph, lifted.part_of, ell)
-                if problem is not None:
-                    raise InvariantError(f"lifted witness is invalid: {problem}")
-                return KernelizeResult(lifted, None)
+        if cut is None:
+            continue
+        matching = [(ids[u], ids[v]) for u, v in cut.cut_edges]
+        lifted = max_parts_of_cut(graph, matching)
+        # A construction reaches its target, and each other component adds
+        # a part, so a shortfall means a construction broke its guarantee.
+        if lifted.p < ell:
+            raise InvariantError(
+                f"lifted witness has {lifted.p} parts, fewer than {ell}")
+        problem = validate_multicut(graph, lifted.part_of, ell)
+        if problem is not None:
+            raise InvariantError(f"lifted witness is invalid: {problem}")
+        return KernelizeResult(lifted, None)
     if ell >= 2:
         bound = KERNEL_SIZE_FACTOR * ell * (math.log2(ell) ** 2)
         if graph.n >= bound:

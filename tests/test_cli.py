@@ -11,6 +11,7 @@ import tempfile
 
 import pytest
 
+from mmcut import cli
 from mmcut.cli import main
 
 C6 = "p tw 6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n"
@@ -241,6 +242,15 @@ class TestGenerateVerify:
         assert out.strip().endswith("PASS")
         assert "AGREE" in out
 
+    def test_agreement_builds_no_witness(self, c6, capsys, monkeypatch):
+        # The engines' counts are compared; no decision witness is needed.
+        def refuse(graph, ell):
+            raise RuntimeError("agreement asked for a witness")
+
+        monkeypatch.setattr(cli, "solve_decision", refuse)
+        code, out, _ = run_cli(["verify", "agreement", c6, "--ell", "2"], capsys)
+        assert code == 0 and out.strip().endswith("PASS")
+
 
 class TestMalformedArguments:
     """A malformed ``--ell`` or ``--modulator`` is a usage error: exit 2
@@ -284,6 +294,21 @@ class TestMalformedArguments:
             capsys,
         )
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_empty_modulator_checked(self, c6, k3, capsys):
+        # An empty --modulator is checked like any other, not replaced by
+        # the approximation: no vertex cover of C6, but the cluster
+        # modulator of a triangle.
+        code, out, err = run_cli(
+            ["enumerate", "--param", "vc", "--ell", "2", "--modulator", "", c6],
+            capsys,
+        )
+        assert code == 2 and out == "" and "not a vertex-cover modulator" in err
+        code, out, _ = run_cli(
+            ["enumerate", "--param", "cluster", "--ell", "1", "--modulator", "", k3],
+            capsys,
+        )
+        assert code == 0 and out == '{"parts":[[1,2,3]],"cut_edges":[]}\n'
 
     def test_console_script_prints_no_traceback(self, c6):
         import subprocess

@@ -68,6 +68,25 @@ def caterpillar(spine: int, legs: int) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
+def nstar(adj, clusters, part: set[int]) -> set[int]:
+    """Vertices outside the modulator glued to this monochromatic group,
+    by one scan of every cluster: the reference for ``_Reducer.stars``."""
+    out: set[int] = set()
+    for cluster in clusters:
+        cset = set(cluster)
+        glued = [
+            v for v in cluster
+            if sum(1 for u in adj[v] if u in part) >= 2
+        ]
+        if (len(cluster) >= 3 and glued) or any(
+            sum(1 for z in adj[u] if z in cset) >= 2 for u in part
+        ):
+            out |= cset
+        else:
+            out.update(glued)
+    return out
+
+
 # The rules that edit the graph; rules 1, 2 and 7 merge modulator groups.
 EDIT_RULES = {"rule3", "rule4", "rule5", "rule6", "rule8", "rule9"}
 
@@ -130,27 +149,42 @@ class TestReduce:
         assert inst.fired == ()
 
     def test_round_snapshot_describes_reduced_graph(self, rng):
-        # Clusters, group index and stars are taken once per rule round;
-        # after the last round they must match the reduced graph.
-        reduced_any = merged_any = False
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(3, 12), rng.choice([0.3, 0.5, 0.8]))
-            mod = approx_cluster_modulator(g).vertices
-            red = _Reducer(g, mod)
-            red.run()
-            reduced_any |= not EDIT_RULES.isdisjoint(red.fired)
-            merged_any |= len(red.mono) < len(mod)
+        # Cluster records, group index and stars are taken once per rule
+        # round; in every round they must match the graph as reduced so
+        # far, and the stars the per-group scan of ``nstar``.
+        def check(red, mod):
             work = Graph.from_edges(
-                g.n, [(u, v) for u in red.alive for v in red.adj[u] if u < v]
+                red.graph.n, [(u, v) for u in red.alive for v in red.adj[u] if u < v]
             )
             sub, ids = work.induced(sorted(red.alive - mod))
-            assert red.clusters == [
-                tuple(ids[i] for i in comp) for comp in sub.components()
-            ]
+            clusters = [tuple(ids[i] for i in comp) for comp in sub.components()]
+            assert [c.vertices for c in red.clusters] == clusters
+            for c in red.clusters:
+                assert c.vset == set(c.vertices)
+                assert c.hosts == tuple(
+                    tuple(sorted(mod.intersection(work.adj[v]))) for v in c.vertices
+                )
+                assert c.nbrs == tuple(sorted({w for h in c.hosts for w in h}))
             assert red.group_of == {
                 u: i for i, part in enumerate(red.mono) for u in part
             }
-            assert red.stars == [red.nstar(part) for part in red.mono]
+            assert red.stars == [nstar(red.adj, clusters, part) for part in red.mono]
+
+        reduced_any = merged_any = False
+        for i in range(160):
+            if i % 2:
+                g, mod = matched_cluster_graph(rng)
+            else:
+                g = random_graph(rng, rng.randint(3, 12), rng.choice([0.3, 0.5, 0.8]))
+                mod = approx_cluster_modulator(g).vertices
+            red = _Reducer(g, mod)
+            red.snapshot()
+            check(red, mod)
+            while red._apply_one():  # the rounds of ``run``
+                red.snapshot()
+                check(red, mod)
+            reduced_any |= not EDIT_RULES.isdisjoint(red.fired)
+            merged_any |= len(red.mono) < len(mod)
         assert reduced_any and merged_any
 
     def test_invalid_modulator(self):

@@ -492,6 +492,14 @@ class TestInvariants:
         with pytest.raises(InvariantError, match="lifted witness"):
             kernelize_subcubic(path_graph(100), 4)
 
+    def test_lifted_witness_short(self, monkeypatch):
+        # A construction that misses its target must not let the whole
+        # graph through as a kernel.
+        monkeypatch.setattr(subcubic, "_component_construction",
+                            lambda sub, target: max_parts_of_cut(sub, [(49, 50)]))
+        with pytest.raises(InvariantError, match="2 parts, fewer than 4"):
+            kernelize_subcubic(path_graph(100), 4)
+
     def test_kernel_too_large(self, monkeypatch):
         monkeypatch.setattr(subcubic, "KERNEL_SIZE_FACTOR", 1)
         with pytest.raises(InvariantError, match="constructions must succeed"):
