@@ -34,6 +34,8 @@ class CyclePacking:
                 return False
             seen.update(cyc)
             inside = set(cyc)
+            if len(inside) < 3 or len(inside) != len(cyc):
+                return False
             for v in cyc:
                 if sum(1 for u in graph.adj[v] if u in inside) != 2:
                     return False
@@ -170,58 +172,139 @@ def _seed_pure_cycles(adj: list[set[int]], low: list[int]) -> None:
                 low[u] = max(low[u], len(walk))
 
 
-def _shortest_cycle_from(adj, start, cap):
-    """Shortest cycle found by BFS from start, as a vertex tuple, or None.
+def _cycle_reach(adj, start, dist, parent):
+    """Uncapped BFS from ``start``: ``(tau, low, cycle)``.
 
-    Only cycles of length <= cap are reported; the BFS stops early once the
-    depth makes shorter cycles impossible.
+    Every non-tree edge the search meets closes a fundamental cycle of the
+    BFS tree, which is always simple; the search keeps the first shortest
+    one, ``cycle``, and stops at the depth where no shorter one can close.
+    ``tau`` is the least over these cycles of max(length, 2 * depth), with
+    depth the frontier level that met the edge.
+
+    A search that reports only cycles of length <= cap and stops at depth
+    cap / 2 finds nothing exactly when cap < tau, and ``cycle`` for every
+    cap >= tau: until it reports a cycle it runs as this one does (it stops
+    no later), and the first shortest cycle here lies at a depth of at most
+    tau / 2.  So one run answers the search for every cap.
+
+    tau itself can fall when vertices are deleted, since the BFS tree
+    changes.  ``low`` <= tau is the least over all cycles C of
+    max(|C|, 2 * d(C)), where d(C) is the largest distance from ``start``
+    at which an edge of C has its nearer end.  Deleting vertices removes
+    cycles and lengthens distances, so ``low`` never falls.  Every
+    fundamental cycle met at depth d has d(C) <= d, so ``low`` <= tau.
+    No cycle has d(C) below the first level d0 that meets a non-tree edge,
+    and one met there gives tau <= 2 * d0 + 2.  So ``low`` differs from tau
+    only through a shorter cycle among the edges examined up to level d0:
+    the least nonzero sum of the fundamental cycles of the non-tree edges
+    met at d0 (``_span_girth``).
+
+    ``dist`` must be -1 everywhere and is left so; ``parent`` is scratch.
     """
-    dist = {start: 0}
-    parent = {start: -1}
+    dist[start] = 0
+    parent[start] = -1
+    seen = [start]
     frontier = [start]
-    best = None
-    best_len = cap + 1
-    while frontier:
-        if 2 * dist[frontier[0]] + 1 > best_len:
-            break
+    cycle = None
+    best_len = tau = 2 * len(dist)  # above every cycle length and depth
+    first = -1  # d0
+    closing = []  # the non-tree edges met at depth d0, each once
+    depth = 0
+    while frontier and 2 * depth < best_len:
         nxt = []
         for a in frontier:
+            pa = parent[a]
             for b in adj[a]:
-                if b == parent[a]:
+                if b == pa:
                     continue
-                if b in dist:
-                    # Walk both endpoints up to their meeting point.
-                    pa, pb = a, b
-                    up_a, up_b = [a], [b]
-                    while dist[pa] > dist[pb]:
-                        pa = parent[pa]
-                        up_a.append(pa)
-                    while dist[pb] > dist[pa]:
-                        pb = parent[pb]
-                        up_b.append(pb)
-                    while pa != pb:
-                        pa, pb = parent[pa], parent[pb]
-                        up_a.append(pa)
-                        up_b.append(pb)
-                    cycle = up_a + up_b[:-1][::-1]
-                    if len(cycle) == len(set(cycle)) and len(cycle) < best_len:
-                        best_len = len(cycle)
-                        best = tuple(cycle)
-                else:
-                    dist[b] = dist[a] + 1
+                db = dist[b]
+                if db < 0:
+                    dist[b] = depth + 1
                     parent[b] = a
                     nxt.append(b)
+                    continue
+                if first < 0:
+                    first = depth
+                if depth == first and (db > depth or a < b):
+                    closing.append((a, b))
+                # Walk both endpoints up to their meeting point; BFS depths
+                # of adjacent vertices differ by at most one.
+                x = parent[a] if db < depth else a
+                y = parent[b] if db > depth else b
+                while x != y:
+                    x, y = parent[x], parent[y]
+                length = depth + db + 1 - 2 * dist[x]
+                reach = length if length > 2 * depth else 2 * depth
+                if reach < tau:
+                    tau = reach
+                if length < best_len:
+                    best_len = length
+                    up_a, up_b = [a], [b]
+                    while up_a[-1] != x:
+                        up_a.append(parent[up_a[-1]])
+                    while up_b[-1] != x:
+                        up_b.append(parent[up_b[-1]])
+                    cycle = tuple(up_a + up_b[-2::-1])
+        seen += nxt
         frontier = nxt
-    return best
+        depth += 1
+    low = tau
+    if len(closing) > 1 and tau > 2 * first:
+        low = min(tau, max(_span_girth(closing, dist, parent), 2 * first))
+    for u in seen:
+        dist[u] = -1
+    return tau, low, cycle
+
+
+SPAN_GIRTH_EDGES = 10
+
+
+def _span_girth(closing, dist, parent):
+    """Length of the shortest cycle made of BFS tree edges and the non-tree
+    edges ``closing``, or 0 when there are more than ``SPAN_GIRTH_EDGES``.
+
+    Every such cycle is a sum (symmetric difference) of the edges'
+    fundamental cycles, and every nonzero sum is an edge-disjoint union of
+    such cycles, so the least nonzero sum is the shortest cycle.  Sums run
+    over all subsets in Gray-code order, with each cycle an int whose bits
+    are its edges (a tree edge is named by its child)."""
+    k = len(closing)
+    if k > SPAN_GIRTH_EDGES:
+        return 0
+    bit: dict[int, int] = {}
+    masks = []
+    for i, (a, b) in enumerate(closing):
+        mask = 1 << i
+        while a != b:
+            if dist[a] < dist[b]:
+                a, b = b, a
+            mask ^= 1 << bit.setdefault(a, k + len(bit))
+            a = parent[a]
+        masks.append(mask)
+    girth = total = 0
+    for step in range(1, 1 << k):
+        total ^= masks[(step & -step).bit_length() - 1]
+        size = total.bit_count()
+        if girth == 0 or size < girth:
+            girth = size
+    return girth
 
 
 def find_disjoint_cycles(graph: Graph) -> CyclePacking:
     """Greedy shortest-cycle-first packing for graphs with 2 <= deg <= 3.
 
-    Repeatedly extracts a globally shortest (hence chordless) cycle, deletes
-    it and suppresses the resulting degree <= 1 chains.  The achieved packing
-    size relative to |V>=3| / (4 log2 |V>=3|) is logged; the bound is a
-    property of the test families, not a universal guarantee of the greedy.
+    Repeatedly extracts a globally shortest (hence chordless) cycle, the
+    first one found in vertex order, deletes it and suppresses the
+    resulting degree <= 1 chains.  A round scans the vertices in order for
+    a BFS cycle shorter than its best so far, stopping at a triangle.  Each
+    BFS is uncapped (``_cycle_reach``) and gives the vertex's reach tau:
+    the BFS capped below the round's best finds a cycle exactly when tau is
+    below that best, and then always the same cycle.  It also gives a lower
+    bound on tau that deletions never lower; it is cached, and a vertex is
+    searched again only once a round's best rises above it.  The achieved
+    packing size relative to |V>=3| / (4 log2 |V>=3|) is logged; the bound
+    is a property of the test families, not a universal guarantee of the
+    greedy.
     """
     if graph.min_degree < 2:
         raise ValueError("cycle packing requires minimum degree 2")
@@ -229,23 +312,19 @@ def find_disjoint_cycles(graph: Graph) -> CyclePacking:
     v3 = sum(1 for v in range(graph.n) if graph.degree(v) >= 3)
     adj = [set(a) for a in graph.adj]
     alive = set(range(graph.n))
-    order = list(range(graph.n))
+    dist = [-1] * graph.n
+    parent = [-1] * graph.n
     cycles: list[tuple[int, ...]] = []
-    # Deletions never create cycles, so a per-vertex lower bound on the
-    # shortest cycle through it is monotone and can be cached across rounds.
     low = [3] * graph.n
     _seed_pure_cycles(adj, low)
     while alive:
         best = None
         best_len = len(alive) + 1
-        for v in order:
+        for v in range(graph.n):
             if v not in alive or low[v] >= best_len:
                 continue
-            found = _shortest_cycle_from(adj, v, best_len - 1)
-            if found is None:
-                low[v] = best_len
-                continue
-            if len(found) < best_len:
+            tau, low[v], found = _cycle_reach(adj, v, dist, parent)
+            if tau < best_len:
                 best, best_len = found, len(found)
                 if best_len == 3:
                     break

@@ -140,7 +140,6 @@ class TestCyclePacking:
                 assert len(packing.cycles) >= v3 / (4 * math.log2(v3))
 
     def test_random_cubic_bound(self):
-        rnd = random.Random(3)
         n = 64
         # Circulant-style cubic graph.
         edges = [(i, (i + 1) % n) for i in range(n)]
@@ -149,7 +148,13 @@ class TestCyclePacking:
         assert all(g.degree(v) == 3 for v in range(n))
         packing = find_disjoint_cycles(g)
         assert len(packing.cycles) >= n / (4 * math.log2(n))
-        del rnd
+
+    def test_check_rejects_short_cycles(self):
+        g = cycle_graph(5)
+        assert not CyclePacking(((),)).check(g)
+        assert not CyclePacking(((0, 1),)).check(g)
+        assert not CyclePacking(((0, 1, 2, 3, 4, 0),)).check(g)
+        assert CyclePacking(((0, 1, 2, 3, 4),)).check(g)
 
 
 class TestSecondNeighborhood:
@@ -278,39 +283,85 @@ def reference_strip_low_degree(adj: list[set[int]], alive: set[int]) -> None:
                 queue.append(u)
 
 
+def reference_shortest_cycle_from(adj, start, cap):
+    """Shortest cycle found by BFS from start, as a vertex tuple, or None.
+
+    Only cycles of length <= cap are reported; the BFS stops early once the
+    depth makes shorter cycles impossible.
+    """
+    dist = {start: 0}
+    parent = {start: -1}
+    frontier = [start]
+    best = None
+    best_len = cap + 1
+    while frontier:
+        if 2 * dist[frontier[0]] + 1 > best_len:
+            break
+        nxt = []
+        for a in frontier:
+            for b in adj[a]:
+                if b == parent[a]:
+                    continue
+                if b in dist:
+                    # Walk both endpoints up to their meeting point.
+                    pa, pb = a, b
+                    up_a, up_b = [a], [b]
+                    while dist[pa] > dist[pb]:
+                        pa = parent[pa]
+                        up_a.append(pa)
+                    while dist[pb] > dist[pa]:
+                        pb = parent[pb]
+                        up_b.append(pb)
+                    while pa != pb:
+                        pa, pb = parent[pa], parent[pb]
+                        up_a.append(pa)
+                        up_b.append(pb)
+                    cycle = up_a + up_b[:-1][::-1]
+                    if len(cycle) == len(set(cycle)) and len(cycle) < best_len:
+                        best_len = len(cycle)
+                        best = tuple(cycle)
+                else:
+                    dist[b] = dist[a] + 1
+                    parent[b] = a
+                    nxt.append(b)
+        frontier = nxt
+    return best
+
+
+def reference_delete_cycle(adj, alive, cycle) -> None:
+    for v in cycle:
+        alive.discard(v)
+        for u in list(adj[v]):
+            adj[u].discard(v)
+        adj[v].clear()
+    reference_strip_low_degree(adj, alive)
+
+
 def reference_find_disjoint_cycles(graph: Graph) -> CyclePacking:
-    """The greedy as it was before pure-cycle components were seeded, kept
-    as the reference for the packing."""
+    """The greedy by its definition, kept as the reference for the packing:
+    each round takes the shortest cycle that the capped BFS finds from some
+    vertex, the first in vertex order, searching every alive vertex with no
+    bound carried between rounds."""
     if graph.min_degree < 2:
         raise ValueError("cycle packing requires minimum degree 2")
     adj = [set(a) for a in graph.adj]
     alive = set(range(graph.n))
-    order = list(range(graph.n))
     cycles: list[tuple[int, ...]] = []
-    low = [3] * graph.n
     while alive:
         best = None
         best_len = len(alive) + 1
-        for v in order:
-            if v not in alive or low[v] >= best_len:
+        for v in range(graph.n):
+            if v not in alive:
                 continue
-            found = subcubic._shortest_cycle_from(adj, v, best_len - 1)
-            if found is None:
-                low[v] = best_len
-                continue
-            if len(found) < best_len:
+            found = reference_shortest_cycle_from(adj, v, best_len - 1)
+            if found is not None and len(found) < best_len:
                 best, best_len = found, len(found)
                 if best_len == 3:
                     break
         if best is None:
             break
         cycles.append(tuple(sorted(best)))
-        for v in best:
-            alive.discard(v)
-            for u in list(adj[v]):
-                adj[u].discard(v)
-            adj[v].clear()
-        reference_strip_low_degree(adj, alive)
+        reference_delete_cycle(adj, alive, best)
     return CyclePacking(tuple(cycles))
 
 
@@ -386,9 +437,31 @@ def subdivided(rng: random.Random, n: int, edges, most: int) -> tuple[int, list]
     return n, out
 
 
+def counting(monkeypatch):
+    """Record the start vertex of every BFS the packing makes."""
+    calls = []
+    original = subcubic._cycle_reach
+
+    def counted(adj, start, dist, parent):
+        calls.append(start)
+        return original(adj, start, dist, parent)
+
+    monkeypatch.setattr(subcubic, "_cycle_reach", counted)
+    return calls
+
+
+def tau_falls_graph() -> Graph:
+    """A random cubic graph on which a vertex's reach tau falls after the
+    greedy deletes a cycle, so that caching tau itself as the bound skips
+    a search the round needs."""
+    rng = random.Random(836)
+    n = 2 * rng.randint(20, 60)
+    return Graph.from_edges(*random_cubic_edges(rng, n))
+
+
 class TestPackingMatchesReference:
-    """Seeding pure-cycle components and the strip queue leaves the greedy's
-    packing unchanged."""
+    """Seeding pure-cycle components, the strip queue and the cached reach
+    bounds leave the greedy's packing unchanged."""
 
     @staticmethod
     def assert_same(graph):
@@ -416,6 +489,10 @@ class TestPackingMatchesReference:
         rng = random.Random(43)
         for _ in range(40):
             self.assert_same(Graph.from_edges(*random_cubic_edges(rng, 2 * rng.randint(2, 30))))
+        # Large enough that the cached bounds skip most searches.
+        for n in (150, 220, 300, 400):
+            self.assert_same(Graph.from_edges(*random_cubic_edges(rng, n)))
+        self.assert_same(tau_falls_graph())
 
     def test_triangle_replaced_graphs(self):
         rng = random.Random(44)
@@ -431,16 +508,12 @@ class TestPackingMatchesReference:
         for _ in range(40):
             n, edges = random_cubic_edges(rng, 2 * rng.randint(2, 12))
             self.assert_same(relabel(rng, *subdivided(rng, n, edges, 6)))
+        for n, most in ((60, 2), (80, 3), (100, 1), (120, 2)):
+            edges = random_cubic_edges(rng, n)[1]
+            self.assert_same(relabel(rng, *subdivided(rng, n, edges, most)))
 
     def test_one_bfs_per_cycle_component(self, monkeypatch):
-        calls = []
-        original = subcubic._shortest_cycle_from
-
-        def counted(adj, start, cap):
-            calls.append(start)
-            return original(adj, start, cap)
-
-        monkeypatch.setattr(subcubic, "_shortest_cycle_from", counted)
+        calls = counting(monkeypatch)
         packing = find_disjoint_cycles(cycle_graph(1000))
         assert len(packing.cycles) == 1 and len(calls) == 1
         calls.clear()
@@ -450,6 +523,58 @@ class TestPackingMatchesReference:
         # Each round searches only from components shorter than its best
         # so far, at most one BFS per remaining component.
         assert len(calls) <= 5 + 4 + 3 + 2 + 1
+
+    def test_bfs_calls_on_random_cubic(self, monkeypatch):
+        # A vertex is searched again only once a round's best rises above
+        # its cached bound.  Caching only "nothing below this round's best"
+        # makes about 7 BFS per vertex here.
+        n = 500
+        graph = Graph.from_edges(*random_cubic_edges(random.Random(47), n))
+        calls = counting(monkeypatch)
+        find_disjoint_cycles(graph)
+        assert len(calls) <= 4 * n
+
+
+class TestCycleReach:
+    """One uncapped BFS answers the capped search for every cap, and its
+    lower bound holds through the greedy's deletions."""
+
+    @staticmethod
+    def replay(graph):
+        """Every alive vertex's reach at the start of each reference round."""
+        adj = [set(a) for a in graph.adj]
+        alive = set(range(graph.n))
+        dist, parent = [-1] * graph.n, [-1] * graph.n
+        packing = reference_find_disjoint_cycles(graph)
+        for cycle in packing.cycles + ((),):
+            yield adj, alive, {v: subcubic._cycle_reach(adj, v, dist, parent)
+                               for v in sorted(alive)}
+            assert dist == [-1] * graph.n
+            reference_delete_cycle(adj, alive, cycle)
+
+    def test_answers_every_cap(self):
+        rng = random.Random(48)
+        graphs = [tau_falls_graph()]
+        for _ in range(6):
+            n, edges = random_cubic_edges(rng, 2 * rng.randint(4, 20))
+            graphs.append(relabel(rng, *subdivided(rng, n, edges, 2)))
+        for graph in graphs:
+            for adj, alive, reach in self.replay(graph):
+                for v, (tau, _low, cycle) in reach.items():
+                    for cap in (3, tau - 1, tau, tau + 1, len(alive)):
+                        if cap >= 3:
+                            expect = cycle if cap >= tau else None
+                            assert reference_shortest_cycle_from(adj, v, cap) == expect
+
+    def test_bound_never_falls(self):
+        taus, lows = {}, {}
+        fell = False
+        for _adj, _alive, reach in self.replay(tau_falls_graph()):
+            for v, (tau, low, _cycle) in reach.items():
+                assert lows.get(v, 0) <= low <= tau
+                fell |= tau < taus.get(v, tau)
+                taus[v], lows[v] = tau, low
+        assert fell
 
 
 def uncut(graph, edges):
