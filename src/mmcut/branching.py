@@ -23,10 +23,12 @@ that merge several connected parts into one label still certify a yes.
 ``solve_max`` searches upward: from the cutless multicut (one part per
 component) it asks for one part more than its best witness has until the
 answer is no, so it never pays for the no-instances above the optimum
-except the last one.  Every rule round scans the neighborhoods once per
-rule family: the stopping rules in one pass, R1/R3 from one scan of the
-assigned vertices, and the B-detectors from one contact list per free
-vertex.
+except the last one.  Every rule round makes one pass over the vertices
+(``RoundFacts``): each free vertex's part contacts and free neighbors,
+each assigned vertex's free neighbors and crossing edge.  S1-S3 and
+R1-R7 read that pass, and the reduced state's last pass also feeds the
+branching rules: the B-detectors, the pendant pre-branch and the closing
+assignment.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class PartialState:
     """
 
     __slots__ = (
-        "graph", "ell", "assign", "used", "cross", "free_count", "frozen"
+        "graph", "ell", "assign", "used", "cross", "free_count", "frozen",
+        "_facts",
     )
 
     def __init__(self, graph: Graph, ell: int):
@@ -59,6 +62,7 @@ class PartialState:
         self.cross = [0] * graph.n
         self.free_count = graph.n
         self.frozen = 0  # parts 0..frozen-1 are pinned singleton seeds
+        self._facts = None
 
     def copy(self) -> "PartialState":
         out = PartialState.__new__(PartialState)
@@ -69,7 +73,15 @@ class PartialState:
         out.cross = self.cross[:]
         out.free_count = self.free_count
         out.frozen = self.frozen
+        out._facts = None
         return out
+
+    def facts(self) -> "RoundFacts":
+        """This assignment's one pass over the vertices, made on first use
+        and kept until the next assignment."""
+        if self._facts is None:
+            self._facts = RoundFacts(self)
+        return self._facts
 
     def free_vertices(self) -> list[int]:
         return [v for v in range(self.graph.n) if self.assign[v] == FREE]
@@ -102,6 +114,7 @@ class PartialState:
         if p == self.used:
             self.used += 1
         self.free_count -= 1
+        self._facts = None
         return True
 
     def part_contacts(self, v: int) -> dict[int, int]:
@@ -124,149 +137,145 @@ class PartialState:
         return out
 
 
+class RoundFacts:
+    """What one rule round knows of a state's vertices, from one pass.
+
+    ``fnb[v]`` lists the free neighbors of every vertex v, and ``cont[v]``
+    counts a free v's neighbors per part (None for an assigned v).  In
+    ascending order: ``free`` vertices, ``busy`` ones (assigned, with two
+    or more free neighbors) and ``crossing`` edges (u, v), u < v.  ``stop``
+    is "S1" or "S2" when a free vertex proves it, and ``r2`` the first R2
+    move."""
+
+    __slots__ = ("free", "fnb", "cont", "busy", "crossing", "stop", "r2")
+
+    def __init__(self, state: PartialState):
+        adj = state.graph.adj
+        assign = state.assign
+        self.free = free = []
+        self.fnb = fnb = []
+        self.cont = cont = []
+        self.busy = busy = []
+        self.crossing = crossing = []
+        stop = r2 = None
+        for v, pv in enumerate(assign):
+            av = adj[v]
+            f = []
+            fnb.append(f)
+            if pv == FREE:
+                c: dict[int, int] = {}
+                for u in av:
+                    pu = assign[u]
+                    if pu == FREE:
+                        f.append(u)
+                    else:
+                        c[pu] = c.get(pu, 0) + 1
+                free.append(v)
+                cont.append(c)
+                if len(av) - len(f) > len(c):  # two neighbors share a part
+                    strong = [p for p, k in c.items() if k >= 2]
+                    if len(strong) >= 2:
+                        stop = "S1"  # two strong part contacts
+                    elif r2 is None:
+                        r2 = ("R2", ((v, strong[0]),))
+                if len(c) >= 3 and stop is None:
+                    stop = "S2"  # three parts touched
+            else:
+                cont.append(None)
+                for u in av:
+                    pu = assign[u]
+                    if pu == FREE:
+                        f.append(u)
+                    elif pu != pv and v < u:
+                        crossing.append((v, u))
+                if len(f) >= 2:
+                    busy.append(v)
+        self.stop = stop
+        self.r2 = r2
+
+
 def apply_stopping_rules(state: PartialState) -> str | None:
     """First stopping rule, in S1..S3 priority, that proves no extension
-    exists, else None.
-
-    One pass over the vertices: S1 returns at once, S2-S3 are remembered,
-    and checks that can no longer change the verdict are skipped.  S3 is
-    looked for only at vertices with a crossing neighbor (``state.cross``),
-    of which ``assign_vertex`` allows at most one.
-    """
+    exists, else None.  S1 and S2 come from the round's pass; S3 looks
+    for a crossing edge whose endpoints share a free neighbor."""
+    facts = state.facts()
+    if facts.stop is not None:
+        return facts.stop
     adj = state.graph.adj
-    assign = state.assign
-    cross = state.cross
-    s2 = s3 = False
-    for v, pv in enumerate(assign):
-        if pv == FREE:
-            cont = state.part_contacts(v)
-            # S1: a free vertex with two strong part contacts.
-            if sum(1 for c in cont.values() if c >= 2) >= 2:
-                return "S1"
-            # S2: a free vertex touching three parts.
-            s2 = s2 or len(cont) >= 3
-        elif cross[v] and not (s2 or s3):
-            # S3: a crossing edge whose endpoints share a free neighbor.
-            for u in adj[v]:
-                pu = assign[u]
-                if pu != FREE and pu != pv:
-                    s3 = v < u and any(
-                        assign[z] == FREE and z in adj[u] for z in adj[v]
-                    )
-                    break
-    if s2:
-        return "S2"
-    return "S3" if s3 else None
+    for u, v in facts.crossing:
+        if any(z in adj[v] for z in facts.fnb[u]):
+            return "S3"
+    return None
 
 
 def _find_reduction(state: PartialState) -> tuple[str, tuple[tuple[int, int], ...]] | None:
-    graph = state.graph
-    adj = graph.adj
+    adj = state.graph.adj
     assign = state.assign
-    # One scan of the assigned vertices' neighborhoods serves R1, R3 and
-    # R7: the free neighbors of each assigned vertex (None for free ones)
-    # and the crossing edges (u, v), u < v, in ascending order.
-    free_nb: list[list[int] | None] = [None] * graph.n
-    crossing: list[tuple[int, int]] = []
-
+    facts = state.facts()
+    fnb = facts.fnb
     # R1: an assigned vertex with an adjacent free pair pulls the pair in.
-    for v, pv in enumerate(assign):
-        if pv == FREE:
-            continue
-        fnb = free_nb[v] = []
-        for u in adj[v]:
-            pu = assign[u]
-            if pu == FREE:
-                fnb.append(u)
-            elif pu != pv and v < u:
-                crossing.append((v, u))
-        for i, x in enumerate(fnb):
+    for v in facts.busy:
+        f = fnb[v]
+        for i, x in enumerate(f):
             xadj = adj[x]
-            for y in fnb[i + 1:]:
+            for y in f[i + 1:]:
                 if y in xadj:
-                    return ("R1", ((x, pv), (y, pv)))
-    # R2: a free vertex with two neighbors in a unique part joins it.  The
-    # same scan collects the free degree-2 vertices by neighborhood for R4/R5.
-    twins: dict[tuple[int, int], list[int]] = {}
-    for v, pv in enumerate(assign):
-        if pv != FREE:
-            continue
-        strong = [p for p, c in state.part_contacts(v).items() if c >= 2]
-        if len(strong) == 1:
-            return ("R2", ((v, strong[0]),))
-        if len(adj[v]) == 2:
-            twins.setdefault(adj[v], []).append(v)
+                    return ("R1", ((x, assign[v]), (y, assign[v])))
+    # R2: a free vertex with two neighbors in a unique part joins it.
+    if facts.r2 is not None:
+        return facts.r2
     # R3: a crossing edge forces both endpoints' free neighbors inward.
-    for u, v in crossing:
-        moves = [(z, assign[u]) for z in free_nb[u]]
-        moves += [(z, assign[v]) for z in free_nb[v]]
+    for u, v in facts.crossing:
+        moves = [(z, assign[u]) for z in fnb[u]]
+        moves += [(z, assign[v]) for z in fnb[v]]
         if moves:
             return ("R3", tuple(moves))
     # R4/R5: free degree-2 twins over an assigned pair.
-    for (x, y), members in sorted(twins.items()):
-        if len(members) < 2:
-            continue
-        u, v = members[0], members[1]
+    deg2 = [v for v in facts.free if len(adj[v]) == 2]
+    twins: dict[tuple[int, int], list[int]] = {}
+    for v in deg2:
+        twins.setdefault(adj[v], []).append(v)
+    pairs = [(xy, m) for xy, m in sorted(twins.items()) if len(m) >= 2]
+    for (x, y), (u, v, *_more) in pairs:
         px, py = assign[x], assign[y]
         if px != FREE and py != FREE and px != py:
             return ("R4", ((u, px), (v, py)))
-    for (x, y), members in sorted(twins.items()):
-        if len(members) < 2:
-            continue
-        u = members[0]
+    for (x, y), (u, *_more) in pairs:
         px, py = assign[x], assign[y]
         if px != FREE and py == FREE:
             return ("R5", ((u, px),))
         if py != FREE and px == FREE:
             return ("R5", ((u, py),))
-    # R6: a free degree-2 bridge between two saturated-neighborhood parts.
-    for v in range(graph.n):
-        if assign[v] != FREE or len(graph.adj[v]) != 2:
-            continue
-        x, y = graph.adj[v]
+    # R6: a free degree-2 bridge between two saturated-neighborhood parts:
+    # v is the only free neighbor of x and of y, and neither crosses.
+    cross = state.cross
+    for v in deg2:
+        x, y = adj[v]
         px, py = assign[x], assign[y]
         if px == FREE or py == FREE or px == py:
             continue
-        if all(assign[z] == px or z == v for z in graph.adj[x]) and all(
-            assign[z] == py or z == v for z in graph.adj[y]
-        ):
+        if len(fnb[x]) == 1 and len(fnb[y]) == 1 and not (cross[x] or cross[y]):
             # Either side works; a pinned singleton part cannot take v.
             target = px if px >= state.frozen else py
             return ("R6", ((v, target),))
     # R7: only sound when maximizing two parts; for larger targets the
     # forced move can destroy an extra-part completion, so it stays off.
-    if state.ell == 2:
-        move = _find_r7(state, free_nb)
-        if move is not None:
-            return move
-    return None
-
-
-def _find_r7(
-    state: PartialState, free_nb: list[list[int] | None]
-) -> tuple[str, tuple[tuple[int, int], ...]] | None:
-    graph = state.graph
-    assign = state.assign
-    for u in range(graph.n):
-        if assign[u] != FREE or len(graph.adj[u]) != 2:
-            continue
-        v, w = graph.adj[u]
+    if state.ell != 2:
+        return None
+    for u in deg2:
+        v, w = adj[u]
         if assign[v] != FREE or assign[w] != FREE:
             continue
-        if len(graph.adj[v]) != 2 or len(graph.adj[w]) != 2:
+        if len(adj[v]) != 2 or len(adj[w]) != 2:
             continue
-        x = next(z for z in graph.adj[v] if z != u)
-        y = next(z for z in graph.adj[w] if z != u)
+        x = next(z for z in adj[v] if z != u)
+        y = next(z for z in adj[w] if z != u)
         if assign[x] == FREE or assign[y] == FREE or assign[x] == assign[y]:
             continue
-        vprime = [z for z in free_nb[x] if z != v]
-        wprime = [z for z in free_nb[y] if z != w]
-        if not vprime or not wprime:
-            continue
-        named = {u, v, w, x, y, vprime[0], wprime[0]}
-        if len(named) != 7:
-            continue
-        return ("R7", ((u, assign[x]), (v, assign[x]), (w, assign[y])))
+        vprime = [z for z in fnb[x] if z != v]
+        wprime = [z for z in fnb[y] if z != w]
+        if vprime and wprime and len({u, v, w, x, y, vprime[0], wprime[0]}) == 7:
+            return ("R7", ((u, assign[x]), (v, assign[x]), (w, assign[y])))
     return None
 
 
@@ -297,22 +306,34 @@ def apply_reduction_rules(
                 return None, trace
 
 
-def _qualifying_arms(state: PartialState, v1: int) -> list[tuple[int, int, int, int]]:
+def _anchor(state: PartialState, v1: int) -> tuple[int, int] | None:
+    """(a, v2): the first assigned neighbor a of the free vertex v1 that has
+    another free neighbor, and the lowest such neighbor v2."""
+    free_nb = state.facts().fnb
+    for a in state.graph.adj[v1]:
+        f = free_nb[a]
+        if state.assign[a] != FREE and len(f) >= 2:
+            return a, (f[1] if f[0] == v1 else f[0])
+    return None
+
+
+def _qualifying_arms(state: PartialState, v1: int, fnb) -> list[tuple[int, int, int, int]]:
     """Free neighbors of v1 shaped like B4/B4'/B5 arms.
 
     Returns (arm vertex, anchor vertex, anchor part, anchor's spare free
     neighbor) for every free degree-2 neighbor whose other endpoint is
     assigned and still has a second free neighbor.
     """
-    graph = state.graph
+    adj = state.graph.adj
+    free_nb = state.facts().fnb
     out = []
-    for u in state.free_neighbors(v1):
-        if len(graph.adj[u]) != 2:
+    for u in fnb:
+        if len(adj[u]) != 2:
             continue
-        other = next(z for z in graph.adj[u] if z != v1)
+        other = next(z for z in adj[u] if z != v1)
         if state.assign[other] == FREE:
             continue
-        spare = [z for z in state.free_neighbors(other) if z != u]
+        spare = [z for z in free_nb[other] if z != u]
         if not spare:
             continue
         out.append((u, other, state.assign[other], spare[0]))
@@ -335,12 +356,7 @@ def _children(state, assignments_list):
     out = []
     for moves in assignments_list:
         child = state.copy()
-        ok = True
-        for v, p in moves:
-            if not child.assign_vertex(v, p):
-                ok = False
-                break
-        if ok:
+        if all(child.assign_vertex(v, p) for v, p in moves):
             out.append(child)
     return out
 
@@ -348,42 +364,33 @@ def _children(state, assignments_list):
 def _detect_b1(state, v1, cont, fnb):
     if len(cont) != 1 or len(fnb) < 2:
         return None
-    (i, _count), = cont.items()
-    anchors = [
-        u for u in state.graph.adj[v1]
-        if state.assign[u] == i and any(
-            z != v1 for z in state.free_neighbors(u)
-        )
-    ]
-    if not anchors:
+    return _stay_or_split(state, v1, cont, fnb[:2])
+
+
+def _stay_or_split(state, v1, cont, movers):
+    """B1's and B8's branches: v1 joins its one contact part i, or v1 and
+    ``movers`` take another part while the spare free neighbor of v1's
+    anchor joins i; None when v1 has no anchor."""
+    found = _anchor(state, v1)
+    if found is None:
         return None
-    a = anchors[0]
-    v2 = min(z for z in state.free_neighbors(a) if z != v1)
-    v3, v4 = fnb[0], fnb[1]
-    branches = [(((v1, i),))]
-    for j in state.open_parts(exclude=(i,)):
-        branches.append(((v1, j), (v3, j), (v4, j), (v2, i)))
+    (i, _count), = cont.items()
+    branches = [((v1, i),)]
+    for k in state.open_parts(exclude=(i,)):
+        branches.append(((v1, k), *[(z, k) for z in movers], (found[1], i)))
     return branches
 
 
 def _detect_b2(state, v1, cont, fnb):
     if len(cont) != 2 or not fnb:
         return None
-    anchors = [u for u in state.graph.adj[v1] if state.assign[u] != FREE]
-    with_spare = [
-        u for u in anchors if any(z != v1 for z in state.free_neighbors(u))
-    ]
-    if not with_spare:
+    found = _anchor(state, v1)
+    if found is None:
         return None
-    a = with_spare[0]
+    a, v2 = found
     i = state.assign[a]
-    others = [u for u in anchors if state.assign[u] != i]
-    if not others:
-        return None
-    j = state.assign[others[0]]
-    v2 = min(z for z in state.free_neighbors(a) if z != v1)
-    v4 = fnb[0]
-    return [((v1, i), (v4, i)), ((v1, j), (v4, j), (v2, i))]
+    j = next(p for p in cont if p != i)
+    return [((v1, i), (fnb[0], i)), ((v1, j), (fnb[0], j), (v2, i))]
 
 
 def _detect_b3(state, v1, cont, fnb):
@@ -394,22 +401,19 @@ def _detect_b3(state, v1, cont, fnb):
     return [((v1, i), (v2, i)), ((v1, j), (v2, j))]
 
 
-def _detect_b4(state, v1, cont, fnb):
-    if cont or len(fnb) < 3:
-        return None
-    arms = _qualifying_arms(state, v1)
-    if len(arms) < 2:
-        return None
-    v2, x, i, v2p = arms[0]
-    rest = [arm for arm in arms if arm[2] != i]
-    if not rest:
-        return None
-    v3, y, j, v3p = rest[0]
+def _b4_branches(state, v1, fnb, arm2, arm3):
+    """B4's branches on two arms in different parts, B4''s on two arms in
+    one part; None when v1 has no third free neighbor."""
+    v2, _x, i, v2p = arm2
+    v3, _y, j, v3p = arm3
     leftover = [z for z in fnb if z not in (v2, v3)]
     if not leftover:
         return None
     v4 = leftover[0]
-    branches = [((v1, i), (v2, i)), ((v1, j), (v3, j))]
+    if i == j:
+        branches = [((v1, i), (v2, i), (v3, i))]
+    else:
+        branches = [((v1, i), (v2, i)), ((v1, j), (v3, j))]
     for k in state.open_parts(exclude=(i, j)):
         branches.append(((v1, k), (v2, k), (v3, k), (v2p, i), (v3p, j)))
         branches.append(((v2, i), (v1, k), (v3, k), (v4, k), (v3p, j)))
@@ -417,27 +421,27 @@ def _detect_b4(state, v1, cont, fnb):
     return branches
 
 
+def _detect_b4(state, v1, cont, fnb):
+    if cont or len(fnb) < 3:
+        return None
+    arms = _qualifying_arms(state, v1, fnb)
+    if len(arms) < 2:
+        return None
+    rest = [arm for arm in arms if arm[2] != arms[0][2]]
+    return _b4_branches(state, v1, fnb, arms[0], rest[0]) if rest else None
+
+
 def _detect_b4prime(state, v1, cont, fnb):
     if cont or len(fnb) < 3:
         return None
-    arms = _qualifying_arms(state, v1)
+    arms = _qualifying_arms(state, v1, fnb)
     if len(arms) < 2:
         return None
-    for i, distinct in sorted(_arms_by_part(arms).items()):
-        if len(distinct) < 2:
-            continue
-        v2, _x, _i, v2p = distinct[0]
-        v3, _xp, _i2, v3p = distinct[1]
-        leftover = [z for z in fnb if z not in (v2, v3)]
-        if not leftover:
-            continue
-        v4 = leftover[0]
-        branches = [((v1, i), (v2, i), (v3, i))]
-        for k in state.open_parts(exclude=(i,)):
-            branches.append(((v1, k), (v2, k), (v3, k), (v2p, i), (v3p, i)))
-            branches.append(((v2, i), (v1, k), (v3, k), (v4, k), (v3p, i)))
-            branches.append(((v3, i), (v1, k), (v2, k), (v4, k), (v2p, i)))
-        return branches
+    for _i, distinct in sorted(_arms_by_part(arms).items()):
+        if len(distinct) >= 2:
+            branches = _b4_branches(state, v1, fnb, distinct[0], distinct[1])
+            if branches is not None:
+                return branches
     return None
 
 
@@ -446,7 +450,7 @@ def _detect_b5(state, v1, cont, fnb):
         return None
     (j, _count), = cont.items()
     by_part = _arms_by_part(
-        arm for arm in _qualifying_arms(state, v1) if arm[2] != j
+        arm for arm in _qualifying_arms(state, v1, fnb) if arm[2] != j
     )
     for i, distinct in sorted(by_part.items()):
         if len(distinct) < 2:
@@ -465,8 +469,9 @@ def _detect_b7(state, v1, cont, fnb):
         return None
     a, b = state.graph.adj[v1]
     i, j = state.assign[a], state.assign[b]
-    av = [z for z in state.free_neighbors(a) if z != v1]
-    bv = [z for z in state.free_neighbors(b) if z != v1]
+    free_nb = state.facts().fnb
+    av = [z for z in free_nb[a] if z != v1]
+    bv = [z for z in free_nb[b] if z != v1]
     if not av or not bv or av[0] == bv[0]:
         return None
     v2, v3 = av[0], bv[0]
@@ -476,23 +481,9 @@ def _detect_b7(state, v1, cont, fnb):
 def _detect_b8(state, v1, cont, fnb):
     if len(cont) != 1:
         return None
-    (i, _count), = cont.items()
-    anchors = [
-        u for u in state.graph.adj[v1]
-        if state.assign[u] == i and any(z != v1 for z in state.free_neighbors(u))
-    ]
-    if not anchors:
-        return None
-    a = anchors[0]
-    v2 = min(z for z in state.free_neighbors(a) if z != v1)
-    contacted = [u for u in fnb if state.part_contacts(u)]
-    if not contacted:
-        return None
-    v3 = contacted[0]
-    branches = [((v1, i),)]
-    for k in state.open_parts(exclude=(i,)):
-        branches.append(((v1, k), (v3, k), (v2, i)))
-    return branches
+    contacts = state.facts().cont
+    contacted = [u for u in fnb if contacts[u]]
+    return _stay_or_split(state, v1, cont, contacted[:1]) if contacted else None
 
 
 _DETECTORS = (
@@ -521,20 +512,16 @@ def _completion(state: PartialState) -> PartialState | None:
     graph = state.graph
     adj = graph.adj
     assign = state.assign
+    facts = state.facts()
     claim = [FREE] * graph.n  # the first-round part of each free vertex
-    for v, pv in enumerate(assign):
-        if pv == FREE:
-            continue
-        fnb = [u for u in adj[v] if assign[u] == FREE]
-        if len(fnb) >= 2:
-            for z in fnb:
-                if claim[z] == FREE or pv < claim[z]:
-                    claim[z] = pv
+    for v in facts.busy:
+        pv = assign[v]
+        for z in facts.fnb[v]:
+            if claim[z] == FREE or pv < claim[z]:
+                claim[z] = pv
     labels = assign[:]
     last = state.ell - 1
-    for v, pv in enumerate(assign):
-        if pv != FREE:
-            continue
+    for v in facts.free:
         if claim[v] != FREE:
             labels[v] = claim[v]
             continue
@@ -557,10 +544,8 @@ def _completion(state: PartialState) -> PartialState | None:
 def first_configuration(state: PartialState) -> tuple[str, list] | None:
     """The first applicable B-configuration, trying rules in order and
     candidate vertices in ascending id: its name and its branches."""
-    candidates = [
-        (v1, state.part_contacts(v1), state.free_neighbors(v1))
-        for v1, p in enumerate(state.assign) if p == FREE
-    ]
+    facts = state.facts()
+    candidates = [(v1, facts.cont[v1], facts.fnb[v1]) for v1 in facts.free]
     for rule, detector in _DETECTORS:
         for v1, cont, fnb in candidates:
             branches = detector(state, v1, cont, fnb)
@@ -577,16 +562,18 @@ def select_branch(state: PartialState) -> tuple[str, list[PartialState]]:
     among B1-B8/B4' scanning candidate vertices in ascending id, then the
     closing assignment, then an exhaustive branch on the lowest free vertex.
     """
-    graph = state.graph
+    adj = state.graph.adj
+    assign = state.assign
+    facts = state.facts()
     # Pendant pre-branch: join the host's part or open a singleton part.
-    for u in range(graph.n):
-        if state.assign[u] == FREE and len(graph.adj[u]) == 1:
-            w = graph.adj[u][0]
-            if state.assign[w] != FREE and state.assign[w] >= state.frozen:
+    for u in facts.free:
+        if len(adj[u]) == 1:
+            w = adj[u][0]
+            if assign[w] != FREE and assign[w] >= state.frozen:
                 moves = []
                 if state.used < state.ell:
                     moves.append(((u, state.used),))
-                moves.append(((u, state.assign[w]),))
+                moves.append(((u, assign[w]),))
                 return "pendant", _children(state, moves)
     found = first_configuration(state)
     if found is not None:
@@ -597,20 +584,17 @@ def select_branch(state: PartialState) -> tuple[str, list[PartialState]]:
         return "completion", [completed]
     # Fallback: exhaustive branch keeps the engine complete when no
     # configuration matches and the closing assignment fails.
-    v1 = min(state.free_vertices())
-    cont = state.part_contacts(v1)
-    if len(cont) >= 2:
-        candidates = sorted(cont)
-    else:
-        candidates = state.open_parts()
+    v1 = facts.free[0]
+    cont = facts.cont[v1]
+    candidates = sorted(cont) if len(cont) >= 2 else state.open_parts()
     return "fallback", _children(state, [((v1, p),) for p in candidates])
 
 
 def _search(state: PartialState, stats: dict) -> tuple[list[int], list] | None:
     """Witness labels below ``state`` and the (rule, moves) journal of the
-    path to them, or None; counts the nodes in ``stats["nodes"]``.  The
-    journal is built while unwinding from the witness, so failed branches
-    leave nothing to undo."""
+    path to them, or None; counts the nodes in ``stats["nodes"]`` and the
+    branching rules in ``stats["branchings"]``.  The journal is built while
+    unwinding from the witness, so failed branches leave nothing to undo."""
     stats["nodes"] += 1
     reduced, trace = apply_reduction_rules(state)
     if reduced is None or reduced.used + reduced.free_count < reduced.ell:
@@ -620,6 +604,8 @@ def _search(state: PartialState, stats: dict) -> tuple[list[int], list] | None:
             return reduced.assign, trace
         return None
     rule, children = select_branch(reduced)
+    branchings = stats["branchings"]
+    branchings[rule] = branchings.get(rule, 0) + 1
     for child in children:
         if child.free_count == 0:
             if canonicalize(child.graph, child.assign).p < child.ell:
@@ -680,11 +666,15 @@ def solve_decision(
     Exhaustive and correct for arbitrary graphs; pendant vertices are
     handled by the dedicated pre-branch and the singleton pre-seeding
     rather than the delta >= 2 assumption of the core rule set.
-    ``trace_out`` collects the (rule, assignments) journal of the
-    successful search path.
+    ``stats_out`` receives the search nodes in ``"nodes"`` and, in
+    ``"branchings"``, how often ``select_branch`` returned each rule
+    (``"pendant"``, ``"B1"`` ... ``"B8"``, ``"B4'"``, ``"completion"``,
+    ``"fallback"``).  ``trace_out`` collects the (rule, assignments)
+    journal of the successful search path.
     """
     stats = stats_out if stats_out is not None else {}
     stats["nodes"] = 0
+    stats["branchings"] = {}
     if ell < 1:
         raise ValueError("ell must be positive")
     if graph.n == 0 or ell > graph.n:

@@ -114,6 +114,8 @@ def _enumerate(
 
 
 def cmd_solve(args, out, err) -> int:
+    if args.trace and args.engine != "branching":
+        raise ValueError("--trace needs --engine branching")
     graph = _read_graph(args.input, args.format)
     if args.engine == "branching":
         trace: list | None = [] if args.trace else None

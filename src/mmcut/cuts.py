@@ -89,6 +89,21 @@ def crossing_edges(graph: Graph, part_of: Sequence[int]) -> frozenset[Edge]:
     return frozenset(out)
 
 
+def sorted_edge(u: int, v: int) -> Edge:
+    """The edge between u and v as ``(min, max)``."""
+    return (u, v) if u < v else (v, u)
+
+
+def renumber_parts(labels: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """``labels`` renumbered 0, 1, ... in order of first appearance, and
+    the number of distinct labels.  Given one label per vertex, in vertex
+    order, with each label's vertices forming one connected part, this
+    numbers the parts by smallest vertex, as a canonical multicut does."""
+    index: dict[int, int] = {}
+    part_of = tuple([index.setdefault(x, len(index)) for x in labels])
+    return part_of, len(index)
+
+
 def _as_part_list(graph: Graph, part_of) -> list[int]:
     lst = list(part_of)
     if len(lst) != graph.n:
@@ -157,6 +172,7 @@ def matching_edges(graph: Graph, matching: Iterable[Edge]) -> set[Edge]:
             raise ValueError(f"({u}, {v}) shares an endpoint: not a matching")
         saturated.add(u)
         saturated.add(v)
+        # Inline rather than sorted_edge: every lifted leaf passes its cut here.
         cut.add((u, v) if u < v else (v, u))
     return cut
 

@@ -51,14 +51,11 @@ from typing import Iterator
 # max_parts_of_cut is not called here; it stays a module attribute so that
 # instrumentation and tests that wrap enum_cluster.max_parts_of_cut see that
 # stage 5 makes no whole-graph labelling.
-from .cuts import Edge, Multicut, matching_edges, max_parts_of_cut  # noqa: F401
+from .cuts import (Edge, Multicut, matching_edges, max_parts_of_cut,  # noqa: F401
+                   renumber_parts, sorted_edge)
 from .graphs import Graph, InvariantError, component_labels
 from .modulators import Modulator, is_cluster_graph
 from .oracle import SetPackingInstance, enumerate_all_multicuts, enumerate_set_packings
-
-
-def _edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -154,9 +151,7 @@ class ClusterInstance:
 
     def foreign_edges(self) -> frozenset[Edge]:
         """Edges of the reduced graph absent from the original one."""
-        original = {
-            (u, v) if u < v else (v, u) for u, v in self.graph.edges()
-        }
+        original = set(self.graph.edges())  # each as (min, max)
         return frozenset(e for e in self.work_edges if e not in original)
 
 
@@ -184,7 +179,7 @@ class _Cluster:
     def boundary(self) -> tuple[Edge, ...]:
         """Its modulator edges, sorted."""
         return tuple(sorted(
-            _edge(v, w) for v, h in zip(self.vertices, self.hosts) for w in h
+            sorted_edge(v, w) for v, h in zip(self.vertices, self.hosts) for w in h
         ))
 
     def pendant(self) -> PendantUnit:
@@ -340,11 +335,11 @@ class _Reducer:
                 if len(cluster) < 3 or not c.vset <= star:
                     continue
                 u = min(part)
-                expected = {_edge(u, cluster[0]), _edge(u, cluster[1])}
+                expected = {sorted_edge(u, cluster[0]), sorted_edge(u, cluster[1])}
                 if len(part) == 2:
-                    expected.add(_edge(max(part), cluster[2]))
+                    expected.add(sorted_edge(max(part), cluster[2]))
                 current = {
-                    _edge(w, v)
+                    sorted_edge(w, v)
                     for v, h in zip(cluster, c.hosts) for w in h if w in part
                 }
                 clique_missing = []
@@ -353,7 +348,7 @@ class _Reducer:
                     for a_idx, a in enumerate(ps):
                         for b in ps[a_idx + 1:]:
                             if b not in self.adj[a]:
-                                clique_missing.append(_edge(a, b))
+                                clique_missing.append(sorted_edge(a, b))
                 if current == expected and not clique_missing:
                     continue
                 removed = sorted(current - expected)
@@ -474,7 +469,7 @@ def reduce_cluster_instance(graph: Graph, modulator) -> ClusterInstance:
     held.sort(key=lambda c: c.vertices)
 
     work_edges = frozenset(
-        _edge(v, u) for v in red.alive for u in red.adj[v] if v < u
+        (v, u) for v in red.alive for u in red.adj[v] if v < u
     )
     inst = ClusterInstance(
         graph=graph,
@@ -499,10 +494,10 @@ def _erased_structure(graph: Graph, vertices: tuple[int, ...]) -> ErasedStructur
     ``ErasedStructure`` states."""
     inside = set(vertices)
     adj = graph.adj
-    internal = sorted({_edge(v, u) for v in vertices for u in adj[v] if u in inside})
+    internal = sorted({sorted_edge(v, u) for v in vertices for u in adj[v] if u in inside})
     boundary = sorted((w, v) for v in vertices for w in adj[v] if w not in inside)
     return ErasedStructure(
-        tuple(vertices), tuple(internal) + tuple(_edge(v, w) for w, v in boundary)
+        tuple(vertices), tuple(internal) + tuple(sorted_edge(v, w) for w, v in boundary)
     )
 
 
@@ -540,7 +535,7 @@ def enumerate_core(inst: ClusterInstance) -> Iterator[frozenset[Edge]]:
     foreign = inst.foreign_edges()
     hgraph, ids = _induced_on_work(inst, inst.h_vertices)
     for cut in enumerate_all_multicuts(hgraph, 1, limit=hgraph.n):
-        edges = frozenset(_edge(ids[u], ids[v]) for u, v in cut.cut_edges)
+        edges = frozenset(sorted_edge(ids[u], ids[v]) for u, v in cut.cut_edges)
         if not edges & foreign:
             yield edges
 
@@ -670,7 +665,7 @@ def extend_with_pendant_clusters(
         mark = state.mark()
         shared = part_of[free]
         part_of[free] = state.fresh()
-        internal = _edge(attached, free)
+        internal = sorted_edge(attached, free)
         current.add(internal)
         saturated.update(internal)
         yield from rec(idx + 1, reached + 1)
@@ -681,7 +676,7 @@ def extend_with_pendant_clusters(
         # Host branch: the whole unit becomes its own part.
         if unit.host >= 0 and unit.host not in saturated:
             part_of[attached] = part_of[free] = state.fresh()
-            host_edge = _edge(attached, unit.host)
+            host_edge = sorted_edge(attached, unit.host)
             current.add(host_edge)
             saturated.update(host_edge)
             yield from rec(idx + 1, reached + 1)
@@ -730,11 +725,9 @@ def _leaf_multicut(
     labels = leaf.part_of
     if leaf.trail:  # some uncut structure joined two parts
         labels = map(leaf.find, labels)
-    # Number the parts by first appearance in vertex order.
-    index: dict[int, int] = {}
-    part_of = tuple([index.setdefault(x, len(index)) for x in labels])
+    part_of, p = renumber_parts(labels)
     crossing = frozenset({e for e in final if part_of[e[0]] != part_of[e[1]]})
-    return Multicut(part_of, len(index), crossing)
+    return Multicut(part_of, p, crossing)
 
 
 def _replay(

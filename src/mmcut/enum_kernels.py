@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cuts import Edge, Multicut, max_parts_of_cut
+from .cuts import Edge, Multicut, max_parts_of_cut, renumber_parts, sorted_edge
 from .graphs import Graph, InvariantError
 from .modulators import Modulator, cocluster_classes
 from .oracle import enumerate_all_multicuts
@@ -64,8 +64,8 @@ def compress_vc(graph: Graph, cover: Modulator | frozenset[int]) -> VcKernel:
         if ones:
             z = min(ones)
             marked.add(z)
-            pendant_groups[x] = tuple((min(x, y), max(x, y)) for y in sorted(ones))
-            retained[x] = (min(x, z), max(x, z))
+            pendant_groups[x] = tuple(sorted_edge(x, y) for y in sorted(ones))
+            retained[x] = sorted_edge(x, z)
     for x, y in itertools.combinations(xs, 2):
         common = [
             z for z in graph.adj[x]
@@ -107,10 +107,7 @@ def lift_vc(
     later combos are labelled from a template of the first one, with the
     same part count."""
     # Translate kernel edges to original ids first.
-    translated = {
-        (min(kern.to_g[u], kern.to_g[v]), max(kern.to_g[u], kern.to_g[v]))
-        for u, v in kernel_cut
-    }
+    translated = {sorted_edge(kern.to_g[u], kern.to_g[v]) for u, v in kernel_cut}
     retained_edges = {edge: x for x, edge in kern.retained.items()}
     fixed: set[Edge] = set()
     swaps: list[tuple[int, tuple[Edge, ...]]] = []  # (host, group) per swappable group
@@ -144,9 +141,7 @@ def lift_vc(
         labels = template.copy()
         for fresh, (_edge, y) in enumerate(combo, start=first.p):
             labels[y] = fresh
-        # Renumbering by first appearance numbers parts by smallest vertex.
-        rank = {a: i for i, a in enumerate(dict.fromkeys(labels))}
-        part_of = tuple(map(rank.__getitem__, labels))
+        part_of, _p = renumber_parts(labels)
         yield Multicut(part_of, first.p, frozenset(fixed.union([e for e, _y in combo])))
 
 
@@ -349,7 +344,7 @@ def enumerate_via_kernel(
                     raise InvariantError(
                         "reduced-instance solutions only use original edges"
                     )
-                translated.add((min(gu, gv), max(gu, gv)))
+                translated.add(sorted_edge(gu, gv))
             cut = max_parts_of_cut(graph, translated)
             if cut.cut_edges != translated:
                 raise InvariantError("translated cut must be exact")

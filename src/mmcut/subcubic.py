@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .cuts import Multicut, max_parts_of_cut, validate_multicut
+from .cuts import Multicut, max_parts_of_cut, sorted_edge, validate_multicut
 from .graphs import Graph, InvariantError
 
 log = logging.getLogger(__name__)
@@ -69,7 +69,7 @@ def multicut_from_degree_one(graph: Graph, ell: int) -> Multicut | None:
         u = graph.adj[w][0]
         if not saturated[w] and not saturated[u]:
             saturated[w] = saturated[u] = True
-            matching.append((min(w, u), max(w, u)))
+            matching.append(sorted_edge(w, u))
     cut = max_parts_of_cut(graph, matching)
     if cut.p < ell:
         raise InvariantError("pendant matching fell short of the guaranteed parts")
@@ -118,8 +118,8 @@ def multicut_from_subdivided_edges(graph: Graph, ell: int) -> Multicut | None:
         if marked[up] or marked[u] or marked[v] or marked[vp]:
             continue
         marked[up] = marked[u] = marked[v] = marked[vp] = True
-        matching.append((min(up, u), max(up, u)))
-        matching.append((min(v, vp), max(v, vp)))
+        matching.append(sorted_edge(up, u))
+        matching.append(sorted_edge(v, vp))
         selections += 1
     cut = max_parts_of_cut(graph, matching)
     if selections < ell or cut.p < ell:
@@ -408,7 +408,7 @@ def multicut_from_cycles(
         for v in cset:
             for u in graph.adj[v]:
                 if u not in cset:
-                    matching.append((min(u, v), max(u, v)))
+                    matching.append(sorted_edge(u, v))
         marked.update(second_neighborhood(graph, cset))
         selections += 1
     if selections < ell:

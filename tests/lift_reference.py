@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from mmcut.cuts import Edge, Multicut, max_parts_of_cut
+from mmcut.cuts import Edge, Multicut, max_parts_of_cut, sorted_edge
 from mmcut.enum_cluster import (
     ClusterInstance,
-    _edge,
     _lift_part_potential,
     _saturated,
     enumerate_core,
@@ -71,7 +70,7 @@ def extend_with_pendant_clusters(
         # Skip branch.
         yield from rec(idx + 1, parts)
         # Internal branch: the free endpoint becomes a singleton part.
-        internal = _edge(unit.attached, unit.free)
+        internal = sorted_edge(unit.attached, unit.free)
         current.add(internal)
         saturated.update(internal)
         yield from rec(idx + 1, parts + 1)
@@ -79,7 +78,7 @@ def extend_with_pendant_clusters(
         current.discard(internal)
         # Host branch: the whole unit becomes its own part.
         if unit.host >= 0 and unit.host not in saturated:
-            host_edge = _edge(unit.attached, unit.host)
+            host_edge = sorted_edge(unit.attached, unit.host)
             current.add(host_edge)
             saturated.update(host_edge)
             yield from rec(idx + 1, parts + 1)
@@ -96,9 +95,9 @@ def structure_matchings(graph: Graph, vertices) -> list[tuple[Edge, ...]]:
     by their membership vector over that list, read with members first."""
     inside = set(vertices)
     adj = graph.adj
-    internal = sorted({_edge(v, u) for v in vertices for u in adj[v] if u in inside})
+    internal = sorted({sorted_edge(v, u) for v in vertices for u in adj[v] if u in inside})
     outside = sorted((u, v) for v in vertices for u in adj[v] if u not in inside)
-    edges = internal + [_edge(u, v) for u, v in outside]
+    edges = internal + [sorted_edge(u, v) for u, v in outside]
     found: list[tuple[Edge, ...]] = []
 
     def grow(matching: tuple[Edge, ...], used: frozenset[int], start: int) -> None:

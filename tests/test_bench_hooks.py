@@ -50,6 +50,8 @@ def test_traced_engines_match_their_stats(spans):
     counts = tracer.counts
     assert counts["branching.solve_decision.calls"] == 2
     assert counts["branching.nodes"] == nodes
+    # Both rule spans still wrap functions that every search round calls.
+    assert counts["branching.stop_rules.calls"] >= counts["branching.reduce_rules.calls"] >= 1
     # The spans count the tables of the wrapped transfers; every leaf adds
     # one more entry, the empty key, to the DP's own count.
     leaves = sum(1 for kind, _bag, _v in ntd.nodes if kind == treewidth.LEAF)

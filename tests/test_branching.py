@@ -251,6 +251,30 @@ class TestSolve:
             solve_decision(g, ell, stats_out=stats)
             assert stats["nodes"] == calls["search"] >= 1
 
+    def test_branchings_count_select_branch_calls(self, monkeypatch):
+        # "branchings" counts the rule of every select_branch call.
+        calls = collections.Counter()
+        select = branching.select_branch
+
+        def counted(state):
+            rule, children = select(state)
+            calls[rule] += 1
+            return rule, children
+
+        monkeypatch.setattr(branching, "select_branch", counted)
+        seen = collections.Counter()
+        for g, ell in ((cycle_graph(9), 4), (cycle_graph(9), 5),
+                       (path_graph(10), 7), (complete_graph(4), 2)):
+            calls.clear()
+            stats = {"branchings": {"B1": 99}}
+            solve_decision(g, ell, stats_out=stats)
+            assert stats["branchings"] == calls
+            assert sum(stats["branchings"].values()) == sum(calls.values())
+            seen.update(calls)
+        assert set(seen) <= {"pendant", "B1", "B2", "B3", "B4", "B4'", "B5",
+                             "B7", "B8", "completion", "fallback"}
+        assert seen["fallback"] >= 1 and len(seen) >= 2
+
     def test_short_witness_raises(self, monkeypatch):
         # A witness with fewer parts than asked for is a broken invariant.
         g = cycle_graph(8)

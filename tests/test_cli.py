@@ -75,6 +75,16 @@ class TestSolve:
             main(["solve", c6, "--engine", "quantum", "--ell", "2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("engine", ["treewidth", "oracle"])
+    def test_trace_needs_branching(self, engine, c6, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        code, out, err = run_cli(
+            ["solve", "--engine", engine, "--ell", "2", "--trace", str(trace), c6],
+            capsys,
+        )
+        assert code == 2 and out == "" and "--trace" in err
+        assert not trace.exists()
+
 
 class TestMaxparts:
     def test_reports_value_and_witness(self, c6, capsys):
@@ -365,6 +375,7 @@ GOLDEN_CASES = {
     "solve-treewidth-no": "solve --engine treewidth --ell 2 {I}/k4.gr",
     "solve-oracle": "solve --engine oracle --ell 3 {I}/two_triangles.gr",
     "solve-oracle-no": "solve --engine oracle --ell 2 {I}/k4.gr",
+    "solve-oracle-trace": "solve --engine oracle --ell 2 --trace {T}/t.jsonl {I}/c6.gr",
     "solve-format": "solve --format pace-gr --ell 5 {I}/isolated.gr",
     "maxparts-branching": "maxparts --engine branching {I}/petersen.gr",
     "maxparts-branching-trace": "maxparts --trace {T}/trace.jsonl {I}/caterpillar.gr",
